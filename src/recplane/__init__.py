@@ -16,7 +16,6 @@ from .fields import PrimeField, RationalField
 from .groebner import eliminate, groebner_ideal, ideal_equal, normal_form
 from .modules import (
     ModuleElement,
-    TopLexOrder,
     module_groebner,
     module_intersect,
     module_normal_form,
@@ -54,7 +53,7 @@ __all__ = [
     "Arrangement", "Flat", "Relation", "circuits", "closure", "flats",
     "relation_space", "restrict_to_flat", "Caps", "CapExceeded",
     "PrimeField", "RationalField", "eliminate", "groebner_ideal",
-    "ideal_equal", "normal_form", "ModuleElement", "TopLexOrder",
+    "ideal_equal", "normal_form", "ModuleElement",
     "module_groebner", "module_intersect", "module_normal_form",
     "module_preimage", "Polynomial", "PolyRing", "Presentation",
     "chart_ring", "commutative_generators", "d_of_L", "p_of_L", "p_of_LS",

@@ -155,7 +155,8 @@ def _scalar_to_json(x):
 
 
 def _scalar_from_json(field, x):
-    if isinstance(x, int):
+    # bool is a subclass of int; JSON true/false is not a coefficient
+    if isinstance(x, int) and not isinstance(x, bool):
         return field.from_int(x)
     if isinstance(x, str):
         return field.parse(x)
@@ -228,7 +229,8 @@ def circuits(arr: Arrangement):
             if linalg.rank(arr.field, rows) == size:
                 continue
             kern = linalg.kernel_basis(arr.field, _transpose(rows, arr.n), size)
-            assert len(kern) == 1, "circuit must have a one-dimensional kernel"
+            if len(kern) != 1:
+                raise RuntimeError("circuit must have a one-dimensional kernel")
             vec = [arr.field.zero] * arr.m
             for pos, i in enumerate(combo):
                 vec[i - 1] = kern[0][pos]

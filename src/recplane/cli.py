@@ -194,6 +194,8 @@ def run(argv=None) -> int:
         return EXIT_PASS if rep.ok else EXIT_FAIL
 
     if args.command == "hilbert":
+        if args.max_degree < 0:
+            raise SpecError("--max-degree must be nonnegative")
         tables = hilbert(arr, super=args.super, max_degree=args.max_degree,
                          caps=caps)
         agree = tables["standard"] == tables["rank"]

@@ -23,22 +23,6 @@ from .polynomials import (
 from .superalg import subset_key
 
 
-class TopLexOrder:
-    """Term-over-position order: ring lex on monomials, then label order."""
-
-    __slots__ = ("ring",)
-
-    def __init__(self, ring: PolyRing):
-        self.ring = ring
-
-    @staticmethod
-    def label_key(label):
-        return subset_key(label)
-
-    def term_key(self, mono, label):
-        return (mono, subset_key(label))
-
-
 class ModuleElement:
     """Immutable element of a free module; entries keyed by basis label."""
 
@@ -185,23 +169,37 @@ class ModuleElement:
         return f"<ModuleElement {self}>"
 
 
-def _prepare(basis):
-    by_label: dict = {}
-    for idx, g in enumerate(basis):
-        if g.is_zero():
-            continue
-        m, c, label = g.lt()
-        by_label.setdefault(label, []).append((m, c, g, idx))
-    return by_label
+class _IndexedBasis(list):
+    """A growing basis that keeps its by-label reducer index up to date.
+
+    `module_normal_form` uses the index as it stands instead of building one;
+    only `append` may change the list, or the index goes stale.
+    """
+
+    __slots__ = ("by_label",)
+
+    def __init__(self, elems=()):
+        super().__init__()
+        self.by_label: dict = {}
+        for g in elems:
+            self.append(g)
+
+    def append(self, g):
+        if not g.is_zero():
+            m, c, label = g.lt()
+            self.by_label.setdefault(label, []).append((m, c, g, len(self)))
+        super().append(g)
 
 
-def module_normal_form(v: ModuleElement, basis, order=None, track=False):
+def module_normal_form(v: ModuleElement, basis, track=False):
     """Remainder of v modulo `basis` under TOP-lex division.
 
     With track=True also returns the quotient dict {basis_index: Polynomial}
     so that v == sum(q_i * basis_i) + remainder.
     """
-    by_label = _prepare(basis)
+    if not isinstance(basis, _IndexedBasis):
+        basis = _IndexedBasis(basis)
+    by_label = basis.by_label
     field = v.ring.field
     work = {s: dict(p._d) for s, p in v._entries.items()}
     rem: dict = {}
@@ -286,6 +284,25 @@ def _row_combine(ring, terms):
     return {i: p for i, p in out.items() if not p.is_zero()}
 
 
+def _chain_criterion(G, pending, i, j):
+    """Gebauer-Moeller chain criterion for the same-label pair (i, j).
+
+    True when a third reducer k with the same leading label has lm(k)
+    dividing lcm(lm(i), lm(j)) and neither (i, k) nor (j, k) is pending:
+    S(i, j) is then a combination of S(i, k) and S(j, k), which were
+    already treated.
+    """
+    mi, _, label = G[i].lt()
+    lcm = mono_lcm(mi, G[j].lt()[0])
+    for mk, _, _, k in G.by_label[label]:
+        if k == i or k == j or not mono_divides(mk, lcm):
+            continue
+        if ((min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending):
+            return True
+    return False
+
+
 def module_buchberger(gens, *, track=False, track_limit=None):
     """Raw completion over the input list.
 
@@ -293,14 +310,16 @@ def module_buchberger(gens, *, track=False, track_limit=None):
     reducers; reps[i] expresses G[i] over the inputs (restricted to indices
     below track_limit when given); syzygies are rows over the inputs obtained
     from every S-pair that reduces to zero, which generate the full syzygy
-    module of the inputs.
+    module of the inputs.  Without tracking, pairs that the chain criterion
+    shows redundant are skipped; with it every pair is reduced, since each
+    zero reduction is a syzygy generator.
     """
     if not gens:
         return [], [], []
     ring = gens[0].ring
     field = ring.field
     limit = track_limit if track_limit is not None else len(gens)
-    G = []
+    G = _IndexedBasis()
     reps = []
     syz = []
     for idx, g in enumerate(gens):
@@ -313,20 +332,23 @@ def module_buchberger(gens, *, track=False, track_limit=None):
             reps.append({idx: ring.one()} if idx < limit else {})
 
     heap = []
+    pending = set()
 
     def push_pairs(j):
         mj, _, labj = G[j].lt()
-        for i in range(j):
-            mi, _, labi = G[i].lt()
-            if labi != labj:
-                continue
-            heapq.heappush(heap, (mono_degree(mono_lcm(mi, mj)), i, j))
+        for mi, _, _, i in G.by_label[labj]:
+            if i < j:
+                heapq.heappush(heap, (mono_degree(mono_lcm(mi, mj)), i, j))
+                pending.add((i, j))
 
     for j in range(len(G)):
         push_pairs(j)
 
     while heap:
         _, i, j = heapq.heappop(heap)
+        pending.discard((i, j))
+        if not track and _chain_criterion(G, pending, i, j):
+            continue
         s, (ai, si), (aj, sj) = _spair(G[i], G[j])
         if track:
             r, quots = module_normal_form(s, G, track=True)
@@ -386,7 +408,7 @@ def reduce_module_basis(G):
     return reduced
 
 
-def module_groebner(gens, order=None):
+def module_groebner(gens):
     """Reduced Groebner basis of the submodule generated by `gens`."""
     G, _, _ = module_buchberger(gens)
     return reduce_module_basis(G)

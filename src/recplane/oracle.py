@@ -458,6 +458,7 @@ def verify_lemma7(arr: Arrangement, caps: Caps | None = None) -> Report:
     witnesses = []
     checked = 0
     for rel in circuits_of(arr):
+        gb_of_degree: dict = {}
         i1 = rel.support[0]
         plist = {S: p_of_LS(ring, rel, S) for S in subsets_of(rel.support)}
         u1 = XiElement(ring, {(i1,): ring.one()})
@@ -479,15 +480,18 @@ def verify_lemma7(arr: Arrangement, caps: Caps | None = None) -> Report:
             if q.is_zero():
                 continue
             r = len(S) + 1
-            basis = []
-            for T, p in plist.items():
-                if p.is_zero() or len(T) > r:
-                    continue
-                for B in itertools.combinations(range(1, arr.m + 1), r - len(T)):
-                    prod = ext_mul(XiElement(ring, {B: ring.one()}), p)
-                    if not prod.is_zero():
-                        basis.append(xi_to_module(prod))
-            nf = module_normal_form(xi_to_module(q), module_groebner(basis))
+            if r not in gb_of_degree:
+                basis = []
+                for T, p in plist.items():
+                    if p.is_zero() or len(T) > r:
+                        continue
+                    for B in itertools.combinations(range(1, arr.m + 1),
+                                                    r - len(T)):
+                        prod = ext_mul(XiElement(ring, {B: ring.one()}), p)
+                        if not prod.is_zero():
+                            basis.append(xi_to_module(prod))
+                gb_of_degree[r] = module_groebner(basis)
+            nf = module_normal_form(xi_to_module(q), gb_of_degree[r])
             if not nf.is_zero():
                 witnesses.append({"relation": list(rel.support), "S": list(S),
                                   "reduction": str(nf)})

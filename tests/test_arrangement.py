@@ -144,6 +144,18 @@ def test_flats_cap(four_cycle):
         flats(four_cycle, Caps(flats=8))
 
 
+def test_circuit_kernel_check_raises(monkeypatch):
+    """The one-dimensional kernel check is an exception, not an assert, so
+    it still runs under python -O."""
+    import recplane.arrangement as arrangement
+
+    triangle = Arrangement(F2, 2, [[1, 0], [0, 1], [1, 1]])
+    monkeypatch.setattr(arrangement.linalg, "kernel_basis",
+                        lambda field, rows, ncols: [[1] * ncols] * 2)
+    with pytest.raises(RuntimeError, match="one-dimensional kernel"):
+        circuits(triangle)
+
+
 def test_circuit_supports_incomparable_and_cover():
     fano = Arrangement(
         F2, 3, [v for v in itertools.product([0, 1], repeat=3) if any(v)]

@@ -117,6 +117,26 @@ def test_zero_form_exit_code(tmp_path, capsys):
     assert "zero" in err
 
 
+def test_boolean_coefficient_exit_code(tmp_path, capsys):
+    spec = tmp_path / "bool.json"
+    spec.write_text(json.dumps({
+        "field": {"type": "prime", "p": 2}, "n": 2,
+        "hyperplanes": [[True, False], [0, 1], [1, 1]],
+    }))
+    code, out, err = run_cli(capsys, "circuits", str(spec))
+    assert code == 2
+    assert out == ""
+    assert "True" in err
+
+
+def test_negative_max_degree_exit_code(specs, capsys):
+    code, out, err = run_cli(capsys, "hilbert", "--max-degree", "-3",
+                             specs["E3"])
+    assert code == 2
+    assert out == ""
+    assert "max-degree" in err
+
+
 def test_cap_exceeded_exit_code(specs, capsys):
     code, _, err = run_cli(
         capsys, "--cap-points", "8", "verify", "--check", "stratification",

@@ -4,19 +4,23 @@ from hypothesis import given, settings, strategies as st
 
 from recplane.fields import PrimeField, RationalField
 from recplane.groebner import groebner_ideal, normal_form
+import recplane.modules as modules
 from recplane.modules import (
     ModuleElement,
     is_module_groebner,
+    module_buchberger,
     module_groebner,
     module_intersect,
     module_normal_form,
     module_preimage,
     module_syzygies,
+    reduce_module_basis,
 )
 from recplane.polynomials import PolyRing
 
 Q = RationalField()
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 
 
 def t_ring(field, m):
@@ -86,6 +90,71 @@ def test_module_tracking_produces_membership_certificates():
             factor = r.poly({r.mono({"t1": rng.randint(0, 1)}): 1})
             combo = combo + g.poly_mul(factor)
         assert module_normal_form(combo, basis).is_zero()
+
+
+MODULE_LABELS = ((), (1,), (2,), (1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),  # label slot
+                st.integers(1, 2),  # coefficient
+                st.tuples(*[st.integers(0, 2)] * 3),  # exponents
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.permutations(MODULE_LABELS),
+)
+def test_pruned_completion_matches_unpruned(nlabels, data, labels):
+    """The untracked completion skips chain-criterion pairs; the tracked one
+    reduces every pair.  Both reduce to the same unique reduced basis."""
+    r = t_ring(F3, 3)
+    labels = labels[:nlabels]
+    gens = []
+    for terms in data:
+        entries = {}
+        for slot, c, e in terms:
+            label = labels[slot % nlabels]
+            mono = r.mono({f"t{i + 1}": x for i, x in enumerate(e) if x})
+            entries[label] = entries.get(label, r.zero()) + r.poly({mono: c})
+        gens.append(ModuleElement(r, entries))
+    if all(g.is_zero() for g in gens):
+        return
+    pruned = module_groebner(gens)
+    unpruned = reduce_module_basis(module_buchberger(gens, track=True)[0])
+    assert pruned == unpruned
+    assert is_module_groebner(pruned)
+
+
+def test_chain_criterion_skips_a_pair(monkeypatch):
+    """t1*t2, t2*t3, t1*t3: once (1, 2) and (1, 3) are reduced, t1*t2
+    divides lcm(t2*t3, t1*t3) and the pair (2, 3) is skipped."""
+    r = t_ring(F2, 3)
+    gens = [vec(r, (1,), "t1*t2"), vec(r, (1,), "t2*t3"),
+            vec(r, (1,), "t1*t3")]
+    calls = []
+    original = modules.module_normal_form
+
+    def counted(v, basis, track=False):
+        calls.append(track)
+        return original(v, basis, track=track)
+
+    monkeypatch.setattr(modules, "module_normal_form", counted)
+    G, _, _ = module_buchberger(gens)
+    assert calls == [False, False]
+    assert list(G) == gens
+    calls.clear()
+    _, _, syz = module_buchberger(gens, track=True)
+    assert calls == [True, True, True]
+    assert len(syz) == 3
 
 
 def test_intersect_coprime_principal():
