@@ -275,11 +275,6 @@ def relation_space(arr: Arrangement, caps: Caps | None = None):
     return out
 
 
-def relation_basis(arr: Arrangement):
-    """One normalized Relation per kernel basis vector (any field)."""
-    return [Relation.from_vector(arr, vec) for vec in relation_kernel_basis(arr)]
-
-
 def distinct_relations(arr: Arrangement, caps: Caps | None = None):
     """relation_space with scalar-duplicate Relations collapsed."""
     seen = set()

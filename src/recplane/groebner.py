@@ -21,7 +21,7 @@ from .polynomials import (
 )
 
 
-def normal_form(f: Polynomial, basis, order=None) -> Polynomial:
+def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f under division by `basis`; no term of the result is
     divisible by any basis leading monomial."""
     reducers = [(g.lm(), g.lc(), g) for g in basis if not g.is_zero()]
@@ -112,7 +112,7 @@ def reduce_basis(G) -> list:
     return reduced
 
 
-def groebner_ideal(gens, order=None) -> list:
+def groebner_ideal(gens) -> list:
     """Reduced Groebner basis of the ideal generated by `gens`."""
     return reduce_basis(buchberger(gens))
 

@@ -2,8 +2,11 @@
 
 The term order is TOP (term over position) lexicographic: monomials compare
 first under the ring's lex order, then basis labels compare via their
-descending index tuples.  The completion tracks representations over the
-input generators, which yields syzygies and, from those, submodule preimages.
+descending index tuples.  `module_groebner` interreduces its inputs before
+the completion; both the plain and the tracked completion skip same-label
+pairs by the Gebauer-Moeller chain criterion.  The tracked completion keeps
+representations over the input generators, which yields syzygies and, from
+those, submodule preimages.
 """
 
 from __future__ import annotations
@@ -309,10 +312,11 @@ def module_buchberger(gens, *, track=False, track_limit=None):
     Returns (G, reps, syzygies): G contains every nonzero input plus the new
     reducers; reps[i] expresses G[i] over the inputs (restricted to indices
     below track_limit when given); syzygies are rows over the inputs obtained
-    from every S-pair that reduces to zero, which generate the full syzygy
-    module of the inputs.  Without tracking, pairs that the chain criterion
-    shows redundant are skipped; with it every pair is reduced, since each
-    zero reduction is a syzygy generator.
+    from every reduced S-pair that comes to zero.  Pairs that the chain
+    criterion shows redundant are skipped with or without tracking: the
+    leading syzygies of the remaining pairs still generate those of G, so by
+    Schreyer's theorem their lifts generate the full syzygy module of the
+    inputs (Moeller-Mora-Traverso 1992).
     """
     if not gens:
         return [], [], []
@@ -347,7 +351,7 @@ def module_buchberger(gens, *, track=False, track_limit=None):
     while heap:
         _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
-        if not track and _chain_criterion(G, pending, i, j):
+        if _chain_criterion(G, pending, i, j):
             continue
         s, (ai, si), (aj, sj) = _spair(G[i], G[j])
         if track:
@@ -378,15 +382,19 @@ def module_buchberger(gens, *, track=False, track_limit=None):
     return G, reps, syz
 
 
+def _lt_key(g):
+    m, _, label = g.lt()
+    return (m, subset_key(label))
+
+
 def reduce_module_basis(G):
-    """Minimal interreduced monic basis, sorted by ascending leading term."""
-    G = [g for g in G if not g.is_zero()]
+    """Minimal interreduced monic basis, sorted by ascending leading term.
 
-    def lt_key(g):
-        m, _, label = g.lt()
-        return (m, subset_key(label))
-
-    G.sort(key=lt_key)
+    Each minimal element is reduced only by the ones before it: a leading
+    term dividing one of its terms is no larger than that term, which lies
+    below its own leading term.
+    """
+    G = sorted((g for g in G if not g.is_zero()), key=_lt_key)
     minimal = []
     for g in G:
         m, _, label = g.lt()
@@ -398,25 +406,36 @@ def reduce_module_basis(G):
                 break
         if keep:
             minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = module_normal_form(g, others)
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lt_key)
-    return reduced
+    reduced = _IndexedBasis()
+    for g in minimal:
+        reduced.append(module_normal_form(g, reduced).monic())
+    return list(reduced)
 
 
 def module_groebner(gens):
-    """Reduced Groebner basis of the submodule generated by `gens`."""
-    G, _, _ = module_buchberger(gens)
+    """Reduced Groebner basis of the submodule generated by `gens`.
+
+    The inputs are interreduced first: in ascending leading term, each is
+    replaced by its monic normal form modulo the ones kept so far, or
+    dropped when that is zero.  The kept elements span the same submodule,
+    and the pair queue sees no input whose leading term another divides.
+    """
+    kept = _IndexedBasis()
+    for g in sorted((g for g in gens if not g.is_zero()), key=_lt_key):
+        r = module_normal_form(g, kept)
+        if not r.is_zero():
+            kept.append(r.monic())
+    G, _, _ = module_buchberger(kept)
     return reduce_module_basis(G)
 
 
 def is_module_groebner(G) -> bool:
-    """Buchberger criterion: every applicable S-pair reduces to zero."""
-    G = [g for g in G if not g.is_zero()]
+    """Buchberger criterion: every applicable S-pair reduces to zero.
+
+    Every pair is reduced, with no pair criterion, so that this stays an
+    independent check on the completions.
+    """
+    G = _IndexedBasis(g for g in G if not g.is_zero())
     for i in range(len(G)):
         _, _, labi = G[i].lt()
         for j in range(i + 1, len(G)):

@@ -591,8 +591,9 @@ def verify_groebner_lemma(arr: Arrangement, r: int,
     family = dedupe(s1) + dedupe(s2) + dedupe(s3)
 
     # Buchberger criterion against the family itself, no completion.
-    from .modules import _spair
+    from .modules import _IndexedBasis, _spair
 
+    reducers = _IndexedBasis(family)
     pairs = 0
     witnesses = []
     grouped: dict = {}
@@ -604,7 +605,7 @@ def verify_groebner_lemma(arr: Arrangement, r: int,
                 i, j = members[a], members[b]
                 s, _, _ = _spair(family[i], family[j])
                 pairs += 1
-                rem = module_normal_form(s, family)
+                rem = module_normal_form(s, reducers)
                 if not rem.is_zero():
                     witnesses.append({"pair": [i, j], "remainder": str(rem)})
                     if len(witnesses) >= 3:

@@ -85,20 +85,6 @@ class ExtElement:
     def grassmann_degrees(self):
         return sorted({len(s) for s in self._comps})
 
-    def is_homogeneous(self, r=None) -> bool:
-        degs = self.grassmann_degrees()
-        if r is None:
-            return len(degs) <= 1
-        return degs == [] or degs == [r]
-
-    def topological_degrees(self):
-        """Degrees 2*deg(t) + |subset| over all monomials."""
-        out = set()
-        for s, p in self._comps.items():
-            for m, _ in p._d.items():
-                out.add(2 * sum(e for _, e in m) + len(s))
-        return sorted(out)
-
     def __add__(self, other):
         self._check(other)
         comps = dict(self._comps)

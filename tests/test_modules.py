@@ -1,4 +1,5 @@
 import random
+import time
 
 from hypothesis import given, settings, strategies as st
 
@@ -114,24 +115,67 @@ MODULE_LABELS = ((), (1,), (2,), (1, 2))
     st.permutations(MODULE_LABELS),
 )
 def test_pruned_completion_matches_unpruned(nlabels, data, labels):
-    """The untracked completion skips chain-criterion pairs; the tracked one
-    reduces every pair.  Both reduce to the same unique reduced basis."""
+    """Both completions skip chain-criterion pairs, so the reference here
+    uses none: `is_module_groebner` reduces every pair, every input reduces
+    to zero modulo the result, and the tracked reps certify that each basis
+    element lies in the input span."""
     r = t_ring(F3, 3)
-    labels = labels[:nlabels]
-    gens = []
-    for terms in data:
-        entries = {}
-        for slot, c, e in terms:
-            label = labels[slot % nlabels]
-            mono = r.mono({f"t{i + 1}": x for i, x in enumerate(e) if x})
-            entries[label] = entries.get(label, r.zero()) + r.poly({mono: c})
-        gens.append(ModuleElement(r, entries))
+    gens = [from_terms(r, labels[:nlabels], terms) for terms in data]
     if all(g.is_zero() for g in gens):
         return
     pruned = module_groebner(gens)
-    unpruned = reduce_module_basis(module_buchberger(gens, track=True)[0])
-    assert pruned == unpruned
     assert is_module_groebner(pruned)
+    for g in gens:
+        assert module_normal_form(g, pruned).is_zero()
+    G, reps, syz = module_buchberger(gens, track=True)
+    for b in pruned:
+        rem, quots = module_normal_form(b, G, track=True)
+        assert rem.is_zero()
+        rows = [(reps[k], q) for k, q in quots.items()]
+        assert combine(gens, modules._row_combine(r, rows)) == b
+    for row in syz:
+        assert combine(gens, row).is_zero()
+    assert reduce_module_basis(G) == pruned
+
+
+def from_terms(ring, labels, terms):
+    """Module element from drawn (label slot, coefficient, exponents)."""
+    entries = {}
+    for slot, c, e in terms:
+        label = labels[slot % len(labels)]
+        mono = ring.mono({f"t{i + 1}": x for i, x in enumerate(e) if x})
+        entries[label] = entries.get(label, ring.zero()) + ring.poly({mono: c})
+    return ModuleElement(ring, entries)
+
+
+def combine(gens, row):
+    """sum(row[i] * gens[i]) for a row {index: Polynomial}."""
+    total = ModuleElement.zero(gens[0].ring)
+    for idx, poly in row.items():
+        total = total + gens[idx].poly_mul(poly)
+    return total
+
+
+def test_tracked_completion_seed16_regression():
+    """A hypothesis draw on which the tracked completion once reduced every
+    pair and ran for over a minute; with the chain criterion it takes a
+    fraction of a second."""
+    r = t_ring(F3, 3)
+    gens = [
+        vec(r, (2,), "2*t3*t2*t1^2 + t3 + 2*t1"),
+        ModuleElement(r, {(2,): r.parse("t2^2*t1^2 + t2"),
+                          (1, 2): r.parse("2*t1")}),
+        vec(r, (1, 2), "2*t3*t2^2*t1 + t3*t1^2 + t3"),
+        vec(r, (2,), "2*t3^2*t2^2*t1 + t3*t2*t1^2 + 1"),
+    ]
+    start = time.perf_counter()
+    G, _, syz = module_buchberger(gens, track=True)
+    # generous: a slow shared host takes well under a second
+    assert time.perf_counter() - start < 20
+    assert reduce_module_basis(G) == module_groebner(gens)
+    assert syz
+    for row in syz:
+        assert combine(gens, row).is_zero()
 
 
 def test_chain_criterion_skips_a_pair(monkeypatch):
@@ -153,8 +197,20 @@ def test_chain_criterion_skips_a_pair(monkeypatch):
     assert list(G) == gens
     calls.clear()
     _, _, syz = module_buchberger(gens, track=True)
-    assert calls == [True, True, True]
-    assert len(syz) == 3
+    assert calls == [True, True]
+    assert len(syz) == 2
+    monkeypatch.undo()
+    for row in syz:
+        assert combine(gens, row).is_zero()
+
+    def as_vec(row):
+        return ModuleElement(r, {(i + 1,): p for i, p in row.items()})
+
+    # the skipped Koszul syzygy t1*e2 - t2*e3 (= t1*e2 + t2*e3 over F_2)
+    # lies in the span of the two that remain
+    koszul = as_vec({1: r.parse("t1"), 2: r.parse("t2")})
+    assert module_normal_form(
+        koszul, module_groebner([as_vec(row) for row in syz])).is_zero()
 
 
 def test_intersect_coprime_principal():
@@ -199,6 +255,44 @@ def test_preimage_identity_full_target():
         assert module_normal_form(vec(r, (i,), "1"), basis).is_zero()
 
 
+SMALL_TERMS = st.lists(
+    st.tuples(
+        st.integers(0, 1),  # label slot
+        st.integers(1, 2),  # coefficient
+        st.tuples(*[st.integers(0, 2)] * 2),  # exponents
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(SMALL_TERMS, min_size=1, max_size=2),
+    st.lists(SMALL_TERMS, min_size=1, max_size=2),
+)
+def test_preimage_image_matches_intersection(col_data, amb_data):
+    """The columns' images of the preimage rows and the direct intersection
+    of the column span with the ambient span are the same submodule: one
+    route through tracked syzygies, one through an s-elimination."""
+    r = t_ring(F3, 2)
+    labels = ((1,), (2,))
+    columns = [from_terms(r, labels, t) for t in col_data]
+    ambient = [from_terms(r, labels, t) for t in amb_data]
+    if all(c.is_zero() for c in columns):
+        return
+    rows = module_preimage(columns, ambient)
+    images = [combine(columns, dict(enumerate(row))) for row in rows]
+    images = [v for v in images if not v.is_zero()]
+    inter = module_intersect(columns, ambient)
+    g_images = module_groebner(images)
+    g_inter = module_groebner(inter)
+    for v in inter:
+        assert module_normal_form(v, g_images).is_zero()
+    for v in images:
+        assert module_normal_form(v, g_inter).is_zero()
+
+
 def test_koszul_syzygy():
     r = t_ring(Q, 2)
     cols = [vec(r, (), "t1"), vec(r, (), "t2")]
@@ -221,12 +315,8 @@ def test_syzygies_annihilate_generators():
             mono = r.mono({f"t{i}": rng.randint(0, 2) for i in (1, 2, 3)})
             d[label] = r.poly({mono: 1})
             gens.append(ModuleElement(r, d))
-        rows = module_syzygies(gens)
-        for row in rows:
-            total = ModuleElement.zero(r)
-            for idx, poly in row.items():
-                total = total + gens[idx].poly_mul(poly)
-            assert total.is_zero()
+        for row in module_syzygies(gens):
+            assert combine(gens, row).is_zero()
 
 
 @settings(max_examples=30, deadline=None)
