@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import linalg
 from .caps import Caps
@@ -30,7 +29,7 @@ class Arrangement:
     """Nonzero linear forms over a field, with rank and a chosen basis."""
 
     __slots__ = ("field", "n", "forms", "names", "rank", "basis_indices",
-                 "_coords", "_hash")
+                 "_coords", "_hash", "__weakref__")
 
     def __init__(self, field, n: int, forms, names=None):
         self.field = field
@@ -347,11 +346,6 @@ def restrict_to_flat(arr: Arrangement, flat: Flat) -> Arrangement:
     )
 
 
-@lru_cache(maxsize=None)
-def _cached_field_points(p: int, dim: int):
-    return list(itertools.product(range(p), repeat=dim))
-
-
 def field_points(field, dim: int):
-    """All points of F^dim for a prime field."""
-    return _cached_field_points(field.char, dim)
+    """All points of F^dim for a prime field, generated one at a time."""
+    return itertools.product(range(field.char), repeat=dim)

@@ -196,8 +196,7 @@ def run(argv=None) -> int:
     if args.command == "hilbert":
         if args.max_degree < 0:
             raise SpecError("--max-degree must be nonnegative")
-        tables = hilbert(arr, super=args.super, max_degree=args.max_degree,
-                         caps=caps)
+        tables = hilbert(arr, super=args.super, max_degree=args.max_degree)
         agree = tables["standard"] == tables["rank"]
         payload = {
             "standard": {str(k): v for k, v in tables["standard"].items()},

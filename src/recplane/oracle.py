@@ -23,6 +23,7 @@ from .arrangement import (
     restrict_to_flat,
 )
 from .caps import Caps
+from .context import instance_context
 from .fields import FieldError
 from .groebner import eliminate, groebner_ideal, ideal_equal, normal_form
 from .modules import (
@@ -35,7 +36,7 @@ from .polynomials import Polynomial, PolyRing, mono_divides
 from .relations import (
     chart_ring,
     commutative_generators,
-    ext_monic,
+    odd_relation,
     p_of_L,
     q_of_LS,
     subsets_of,
@@ -47,8 +48,8 @@ from .superalg import (
     OmegaElement,
     XiElement,
     ext_mul,
+    ext_mul_monomial,
     merge_subsets,
-    subset_key,
 )
 
 
@@ -253,12 +254,23 @@ def kernel_I(arr: Arrangement):
     return eliminate(gens, set(xs), subring=t_ring(arr))
 
 
-@lru_cache(maxsize=None)
+def _instance_kernel(arr: Arrangement):
+    """kernel_I(arr) as a tuple, computed once per instance context."""
+    ctx = instance_context(arr)
+    if ctx.kernel is None:
+        ctx.kernel = tuple(kernel_I(arr))
+    return ctx.kernel
+
+
 def _dz_expansion(arr: Arrangement, indices):
     """dz_I in the basis dz_{I'}, I' inside the chosen basis indices."""
-    coords = arr.basis_coordinates()
-    rows = [coords[i - 1] for i in indices]
-    return wedge_expand(arr.field, rows, arr.basis_indices)
+    table = instance_context(arr).dz_expansions
+    got = table.get(indices)
+    if got is None:
+        coords = arr.basis_coordinates()
+        rows = [coords[i - 1] for i in indices]
+        got = table[indices] = wedge_expand(arr.field, rows, arr.basis_indices)
+    return got
 
 
 def degree_module_columns(arr: Arrangement, r: int):
@@ -279,7 +291,7 @@ def degree_module_relations(arr: Arrangement, r: int, igens=None):
     """Generators g * e_{I'} of the relation submodule in degree r."""
     ring = t_ring(arr)
     if igens is None:
-        igens = kernel_I(arr)
+        igens = _instance_kernel(arr)
     out = []
     for I_prime in itertools.combinations(arr.basis_indices, r):
         for g in igens:
@@ -329,25 +341,28 @@ def span_module_generators(arr: Arrangement, pres, r: int):
         if k > r:
             continue
         for B in itertools.combinations(range(1, arr.m + 1), r - k):
-            prod = ext_mul(XiElement(el.ring, {B: el.ring.one()}), el)
+            prod = xi_to_module(ext_mul_monomial(B, el))
             if prod.is_zero():
                 continue
-            monic = ext_monic(prod)
-            key = tuple(
-                (subset_key(s), monic._comps[s].terms) for s in monic.subsets()
-            )
+            key = prod.monic().sort_key()
             if key in seen:
                 continue
             seen.add(key)
-            out.append(xi_to_module(prod))
+            out.append(prod)
     return out
 
 
 def modules_equal(A, B):
     """Mutual containment of spans by normal-form reduction; returns
-    (equal, witness) with a witness element string on failure."""
+    (equal, witness) with a witness element string on failure.
+
+    Equal spans have the same reduced Groebner basis, so equal bases settle
+    it; the generators are reduced only when the bases differ.
+    """
     ga = module_groebner(A)
     gb = module_groebner(B)
+    if ga == gb:
+        return True, None
     for b in B:
         if not module_normal_form(b, ga).is_zero():
             return False, f"not in first span: {b}"
@@ -381,7 +396,7 @@ def verify_theorem2(arr: Arrangement, mode: str = "circuits",
     """Per-degree module equality of the generated ideal and Ker(psi)."""
     label = instance_label(arr)
     rmax = arr.m if rmax is None else rmax
-    igens = kernel_I(arr)
+    igens = _instance_kernel(arr)
     pres = super_generators(arr, mode, caps)
     degrees = []
     witnesses = []
@@ -411,21 +426,62 @@ def verify_minimal(arr: Arrangement, caps: Caps | None = None) -> Report:
 
     Circuits normalize to the same Relation objects that the enumeration
     produces, so the circuit family is a subset of the full one and only the
-    reverse containment needs reduction.
+    reverse containment needs reduction.  The odd ideal J_all lies in J_circ
+    exactly when every nonzero all-family generator P_{L,S} lies in the
+    circuit span of its own Grassmann degree |S|: the u_B multiples follow,
+    because J_circ is an ideal.  So each generator is reduced once; only when
+    one of them, or the commutative check, fails does the degree-by-degree
+    sweep run, and the report is the sweep's.
     """
-    label = instance_label(arr)
     if arr.field.char == 0:
         raise FieldError("minimality check enumerates relations over F_p")
+    ok_i, _ = _minimal_ideal(arr, caps)
+    if not ok_i or not _all_generators_in_circuit_span(arr, caps):
+        return _minimal_sweep(arr, caps)
+    degrees = [{"r": r, "status": "pass"} for r in range(arr.m + 1)]
+    return Report("minimal", instance_label(arr), "pass", [],
+                  {"ideal_equal": True, "degrees": degrees})
+
+
+def _minimal_ideal(arr: Arrangement, caps: Caps | None):
+    """(ok, witnesses): the all-family P_L lie in the circuit ideal."""
     pres_c = commutative_generators(arr, "circuits", caps)
     pres_a = commutative_generators(arr, "all", caps)
     gb_i = groebner_ideal([g.element for g in pres_c.generators])
-    witnesses = []
-    ok_i = True
     for g in pres_a.generators:
         if not normal_form(g.element, gb_i).is_zero():
-            ok_i = False
-            witnesses.append({"ideal_witness": str(g.element)})
-            break
+            return False, [{"ideal_witness": str(g.element)}]
+    return True, []
+
+
+def _all_generators_in_circuit_span(arr: Arrangement,
+                                    caps: Caps | None) -> bool:
+    """Every nonzero all-family P_{L,S} reduces to zero modulo a Groebner
+    basis of the circuit span in Grassmann degree |S|."""
+    sup_c = super_generators(arr, "circuits", caps)
+    sup_a = super_generators(arr, "all", caps)
+    by_degree: dict = {}
+    for g in sup_a.generators:
+        if g.element.is_zero():
+            continue
+        r = len(g.subset)
+        if r not in by_degree:
+            lhs = span_module_generators(arr, sup_c, r)
+            by_degree[r] = ({e.sort_key() for e in lhs}, module_groebner(lhs))
+        lhs_keys, gb = by_degree[r]
+        cand = xi_to_module(g.element)
+        if cand.sort_key() in lhs_keys:
+            continue
+        if not module_normal_form(cand, gb).is_zero():
+            return False
+    return True
+
+
+def _minimal_sweep(arr: Arrangement, caps: Caps | None = None) -> Report:
+    """verify_minimal by reducing every u_B multiple of every all-family
+    generator, degree by degree; names the first failure of each degree."""
+    label = instance_label(arr)
+    ok_i, witnesses = _minimal_ideal(arr, caps)
     sup_c = super_generators(arr, "circuits", caps)
     sup_a = super_generators(arr, "all", caps)
     degrees = []
@@ -451,7 +507,6 @@ def verify_minimal(arr: Arrangement, caps: Caps | None = None) -> Report:
 def verify_lemma7(arr: Arrangement, caps: Caps | None = None) -> Report:
     """The Q-element identities and their reduction to zero, per circuit."""
     from .arrangement import circuits as circuits_of
-    from .relations import p_of_LS
 
     label = instance_label(arr)
     ring = t_ring(arr)
@@ -460,7 +515,7 @@ def verify_lemma7(arr: Arrangement, caps: Caps | None = None) -> Report:
     for rel in circuits_of(arr):
         gb_of_degree: dict = {}
         i1 = rel.support[0]
-        plist = {S: p_of_LS(ring, rel, S) for S in subsets_of(rel.support)}
+        plist = {S: odd_relation(arr, rel, S) for S in subsets_of(rel.support)}
         u1 = XiElement(ring, {(i1,): ring.one()})
         base = ext_mul(u1, XiElement.from_poly(p_of_L(ring, rel))) - plist[
             (i1,)
@@ -487,7 +542,7 @@ def verify_lemma7(arr: Arrangement, caps: Caps | None = None) -> Report:
                         continue
                     for B in itertools.combinations(range(1, arr.m + 1),
                                                     r - len(T)):
-                        prod = ext_mul(XiElement(ring, {B: ring.one()}), p)
+                        prod = ext_mul_monomial(B, p)
                         if not prod.is_zero():
                             basis.append(xi_to_module(prod))
                 gb_of_degree[r] = module_groebner(basis)
@@ -669,7 +724,7 @@ def count_points(arr: Arrangement, caps: Caps | None = None) -> Report:
     field = arr.field
     p = field.char
     caps.check("point enumeration", p ** arr.m, caps.points)
-    igens = kernel_I(arr)
+    igens = _instance_kernel(arr)
     lhs = 0
     for point in field_points(field, arr.m):
         if all(_evaluate_at(g, point) for g in igens):
@@ -719,8 +774,7 @@ def _standard_count(lt_monos, ring, d) -> int:
     return count
 
 
-def hilbert(arr: Arrangement, super: bool = False, max_degree: int = 10,
-            caps: Caps | None = None):
+def hilbert(arr: Arrangement, super: bool = False, max_degree: int = 10):
     """Dimension tables by standard monomials and by the evaluation rank.
 
     Returns {"standard": {deg: dim}, "rank": {deg: dim}} over topological
@@ -729,7 +783,7 @@ def hilbert(arr: Arrangement, super: bool = False, max_degree: int = 10,
     table_a = {d: 0 for d in range(max_degree + 1)}
     table_b = {d: 0 for d in range(max_degree + 1)}
     ring = t_ring(arr)
-    igens = kernel_I(arr)
+    igens = _instance_kernel(arr)
     if not super:
         lt = [g.lm() for g in igens]
         for d in range(max_degree // 2 + 1):

@@ -9,11 +9,12 @@ form living on one piece of the compactification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .arrangement import Arrangement, Flat, Relation, relations_for
 from .caps import Caps
+from .context import instance_context
 from .fields import field_to_json
 from .polynomials import Polynomial, PolyRing, RingError
 from .superalg import (
@@ -21,7 +22,6 @@ from .superalg import (
     TdzElement,
     XiElement,
     ext_mul,
-    subset_key,
     xi_from_tdz,
 )
 
@@ -96,28 +96,6 @@ def q_of_LS(ring: PolyRing, rel: Relation, subset) -> XiElement:
     return xi_from_tdz(tdz.poly_mul(t_monomial(ring, rel.support)))
 
 
-def ext_lt(e: ExtElement):
-    """(monomial, coefficient, subset) of the leading term, TOP-style."""
-    best = None
-    best_key = None
-    for s, p in e._comps.items():
-        m = p.lm()
-        key = (m, subset_key(s))
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (m, p._d[m], s)
-    if best is None:
-        raise ValueError("zero element has no leading term")
-    return best
-
-
-def ext_monic(e: ExtElement) -> ExtElement:
-    _, c, _ = ext_lt(e)
-    if c == e.ring.field.one:
-        return e
-    return e.scale(e.ring.field.inv(c))
-
-
 @dataclass(frozen=True)
 class GeneratorRecord:
     """A presentation generator plus where it came from."""
@@ -183,20 +161,36 @@ class Presentation:
         return "\n".join(lines)
 
 
+def _memo_presentation(arr: Arrangement, key, build) -> Presentation:
+    """The instance context's presentation under `key`, built on a miss."""
+    table = instance_context(arr).presentations
+    pres = table.get(key)
+    if pres is None:
+        pres = table[key] = build()
+    elif pres.arrangement is not arr:
+        pres = replace(pres, arrangement=arr)
+    return pres
+
+
 def commutative_generators(
     arr: Arrangement, mode: str = "circuits", caps: Caps | None = None
 ) -> Presentation:
     """Presentation of the commutative relation ideal.
 
     Scalar-multiple dependencies normalize to the same Relation, so the
-    relation family is de-duplicated before polynomials are built.
+    relation family is de-duplicated before polynomials are built.  Kept in
+    the instance context per (mode, caps).
     """
-    ring = t_ring(arr)
-    records = [
-        GeneratorRecord(p_of_L(ring, rel), rel, None)
-        for rel in relations_for(arr, mode, caps)
-    ]
-    return Presentation(arr, False, mode, tuple(records))
+
+    def build():
+        ring = t_ring(arr)
+        records = [
+            GeneratorRecord(p_of_L(ring, rel), rel, None)
+            for rel in relations_for(arr, mode, caps)
+        ]
+        return Presentation(arr, False, mode, tuple(records))
+
+    return _memo_presentation(arr, (False, mode, caps), build)
 
 
 def subsets_of(support, size=None):
@@ -211,6 +205,16 @@ def subsets_of(support, size=None):
     return out
 
 
+def odd_relation(arr: Arrangement, rel: Relation, subset) -> XiElement:
+    """P_{L,S} for a relation of the arrangement, from the instance table."""
+    table = instance_context(arr).odd_relations
+    key = (rel, tuple(subset))
+    got = table.get(key)
+    if got is None:
+        got = table[key] = p_of_LS(t_ring(arr), rel, subset)
+    return got
+
+
 def super_generators(
     arr: Arrangement, mode: str = "circuits", caps: Caps | None = None
 ) -> Presentation:
@@ -218,13 +222,17 @@ def super_generators(
 
     All 2^k subsets of each support appear, zero elements included (the full
     support always yields zero: its corrections sum back to P_L dz_S).
+    Kept in the instance context per (mode, caps).
     """
-    ring = t_ring(arr)
-    records = []
-    for rel in relations_for(arr, mode, caps):
-        for S in subsets_of(rel.support):
-            records.append(GeneratorRecord(p_of_LS(ring, rel, S), rel, S))
-    return Presentation(arr, True, mode, tuple(records))
+
+    def build():
+        records = []
+        for rel in relations_for(arr, mode, caps):
+            for S in subsets_of(rel.support):
+                records.append(GeneratorRecord(odd_relation(arr, rel, S), rel, S))
+        return Presentation(arr, True, mode, tuple(records))
+
+    return _memo_presentation(arr, (True, mode, caps), build)
 
 
 # -- chart rings --------------------------------------------------------------

@@ -170,6 +170,22 @@ def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
     return type(a)(a.ring, comps)
 
 
+def ext_mul_monomial(subset, e: ExtElement) -> ExtElement:
+    """The product of the exterior monomial with index set `subset` and e.
+
+    Equal to `ext_mul` with the unit-coefficient monomial on the left, but no
+    polynomial is multiplied: each label s of e becomes subset + s with the
+    shuffle sign, or drops out when it meets `subset`.  Distinct labels stay
+    distinct, so no two terms combine.
+    """
+    comps = {}
+    for s, p in e._comps.items():
+        sign, merged = merge_subsets(subset, s)
+        if sign:
+            comps[merged] = p if sign > 0 else -p
+    return type(e)(e.ring, comps)
+
+
 def xi_from_tdz(e: TdzElement, t_name=lambda i: f"t{i}") -> XiElement:
     """Substitute t_j * dz_j -> u_j throughout.
 

@@ -170,6 +170,113 @@ def test_minimal_two_independent_circuits():
     assert verify_minimal(arr).ok
 
 
+TWO_CIRCUITS = Arrangement(
+    F2, 3, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [0, 1, 1]]
+)
+
+
+@pytest.mark.parametrize("arr", [
+    Arrangement(F2, 1, [[1], [1], [1]]),
+    TWO_CIRCUITS,
+    Arrangement(F2, 1, [[1]] * 5),  # p2_n1_m5_0-0-0-0-0 of the corpus
+], ids=["collinear-triples", "two-circuits", "p2_n1_m5_0-0-0-0-0"])
+def test_minimal_per_generator_matches_sweep(arr):
+    from recplane.oracle import _minimal_sweep
+
+    rep = verify_minimal(arr)
+    assert rep.ok
+    assert rep.to_json() == _minimal_sweep(arr).to_json()
+
+
+def test_minimal_falls_back_to_sweep_on_failure(monkeypatch):
+    """With one circuit's odd generators gone, the per-generator check fails
+    and the report is the degree sweep's, failing degree included."""
+    import dataclasses
+
+    import recplane.oracle as oracle
+
+    real = oracle.super_generators
+
+    def without_circuit(arr, mode="circuits", caps=None):
+        pres = real(arr, mode, caps)
+        if mode != "circuits":
+            return pres
+        kept = tuple(g for g in pres.generators
+                     if g.relation.support != (1, 2, 3))
+        return dataclasses.replace(pres, generators=kept)
+
+    monkeypatch.setattr(oracle, "super_generators", without_circuit)
+    arr = TWO_CIRCUITS
+    assert not oracle._all_generators_in_circuit_span(arr, None)
+    rep = verify_minimal(arr)
+    assert rep.status == "fail"
+    assert rep.details["ideal_equal"]
+    assert {"r": 0, "status": "fail"} in rep.details["degrees"]
+    assert rep.to_json() == oracle._minimal_sweep(arr).to_json()
+
+
+def test_modules_equal_by_bases_and_by_reduction(triangle_q):
+    """Two generating sets of one span are equal by their reduced bases; a
+    strictly smaller span is named by a generator outside it."""
+    from recplane.modules import ModuleElement
+    from recplane.oracle import modules_equal
+
+    ring = t_ring(triangle_q)
+    t1, t2 = ring.variable("t1"), ring.variable("t2")
+    a = ModuleElement(ring, {(1,): t1, (2,): t2})
+    b = ModuleElement(ring, {(2,): t1})
+    assert modules_equal([a, b], [a + b.poly_mul(t2), b.scale(2)]) == (True, None)
+    equal, witness = modules_equal([a], [a, b])
+    assert not equal
+    assert witness == f"not in first span: {b}"
+
+
+# -- the instance context --------------------------------------------------------
+
+
+def test_instance_context_eliminates_once(monkeypatch, four_cycle):
+    """theorem2, the point count and lemma7 share one elimination kernel;
+    theorem1 still runs its own."""
+    import recplane.context as context
+    import recplane.oracle as oracle
+
+    calls = []
+    real = oracle.eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(context, "_current", None)
+    monkeypatch.setattr(oracle, "eliminate", counted)
+    assert verify_theorem2(four_cycle).ok
+    assert count_points(four_cycle).ok
+    assert verify_lemma7(four_cycle).ok
+    assert len(calls) == 1
+    assert verify_theorem1(four_cycle).ok
+    assert len(calls) == 2
+
+
+def test_instance_context_keeps_caps():
+    """A memoized presentation does not let a capped call skip its cap."""
+    assert verify_minimal(Arrangement(F2, 1, [[1]] * 4)).ok
+    with pytest.raises(CapExceeded):
+        verify_minimal(Arrangement(F2, 1, [[1]] * 4), Caps(relations=1))
+
+
+def test_instance_context_holds_one_arrangement():
+    import gc
+    import weakref
+
+    first = Arrangement(F2, 2, [[1, 0], [0, 1], [1, 1]])
+    assert verify_theorem2(first).ok
+    ref = weakref.ref(first)
+    del first
+    assert verify_theorem2(Arrangement(F3, 2, [[1, 0], [0, 1], [1, 1]])).ok
+    gc.collect()
+    assert ref() is None
+
+
 def test_lemma7_reports(four_cycle, triangle_q):
     for arr in (four_cycle, triangle_q):
         rep = verify_lemma7(arr)

@@ -10,6 +10,7 @@ from recplane.superalg import (
     UnconvertibleMonomial,
     XiElement,
     ext_mul,
+    ext_mul_monomial,
     parse_ext,
     shuffle_sign,
     xi_from_tdz,
@@ -135,6 +136,15 @@ def test_ext_mul_unital(da):
     a = _xi(r, da)
     one = XiElement.from_poly(r.one())
     assert ext_mul(one, a) == a == ext_mul(a, one)
+
+
+@settings(max_examples=100, deadline=None)
+@given(xi_strategy, subset_strategy)
+def test_relabelled_monomial_product_matches_ext_mul(da, B):
+    """u_B * g by relabelling equals the full product with the monomial u_B."""
+    r = ring()
+    g = _xi(r, da)
+    assert ext_mul_monomial(B, g) == ext_mul(XiElement(r, {B: r.one()}), g)
 
 
 @settings(max_examples=60, deadline=None)
