@@ -15,7 +15,6 @@ from .caps import Caps, CapExceeded
 from .fields import PrimeField, RationalField
 from .groebner import eliminate, groebner_ideal, ideal_equal, normal_form
 from .modules import (
-    ModuleElement,
     module_groebner,
     module_intersect,
     module_normal_form,
@@ -47,17 +46,17 @@ from .relations import (
     super_generators,
     t_ring,
 )
-from .superalg import TdzElement, XiElement, ext_mul, shuffle_sign, xi_from_tdz
+from .superalg import ExtElement, ext_mul, shuffle_sign, xi_from_tdz
 
 __all__ = [
     "Arrangement", "Flat", "Relation", "circuits", "closure", "flats",
     "relation_space", "restrict_to_flat", "Caps", "CapExceeded",
     "PrimeField", "RationalField", "eliminate", "groebner_ideal",
-    "ideal_equal", "normal_form", "ModuleElement",
+    "ideal_equal", "normal_form", "ExtElement",
     "module_groebner", "module_intersect", "module_normal_form",
     "module_preimage", "Polynomial", "PolyRing", "Presentation",
     "chart_ring", "commutative_generators", "d_of_L", "p_of_L", "p_of_LS",
-    "q_of_LS", "super_generators", "t_ring", "TdzElement", "XiElement",
+    "q_of_LS", "super_generators", "t_ring",
     "ext_mul", "shuffle_sign", "xi_from_tdz", "count_points", "eval_h",
     "eval_psi", "hilbert", "kernel_I", "kernel_K_degree", "verify_charts",
     "verify_groebner_lemma", "verify_lemma7", "verify_minimal",

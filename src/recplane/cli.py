@@ -243,7 +243,7 @@ def _run_check(arr, args, caps):
     if check == "stratification":
         return count_points(arr, caps)
     if check == "lemma7":
-        return verify_lemma7(arr, caps)
+        return verify_lemma7(arr)
     if check == "groebner-lemma":
         if args.grassmann is not None:
             degrees = [args.grassmann]

@@ -1,10 +1,12 @@
 """Free modules over a polynomial ring with subset-labeled basis.
 
-The term order is TOP (term over position) lexicographic: monomials compare
-first under the ring's lex order, then basis labels compare via their
-descending index tuples.  `module_groebner` interreduces its inputs before
-the completion; both the plain and the tracked completion skip same-label
-pairs by the Gebauer-Moeller chain criterion.  The tracked completion keeps
+Module elements are `superalg.ExtElement`s: the exterior monomials of one
+Grassmann degree are the basis labels.  The term order is TOP (term over
+position) lexicographic: monomials compare first under the ring's lex
+order, then basis labels compare via their descending index tuples.
+`module_groebner` interreduces its inputs before the completion; both the
+plain and the tracked completion skip same-label pairs by the
+Gebauer-Moeller chain criterion.  The tracked completion keeps
 representations over the input generators, which yields syzygies and, from
 those, submodule preimages.
 """
@@ -23,153 +25,7 @@ from .polynomials import (
     mono_lcm,
     mono_mul,
 )
-from .superalg import subset_key
-
-
-class ModuleElement:
-    """Immutable element of a free module; entries keyed by basis label."""
-
-    __slots__ = ("ring", "_entries", "_lt")
-
-    def __init__(self, ring: PolyRing, entries: dict):
-        self.ring = ring
-        self._entries = {s: p for s, p in entries.items() if not p.is_zero()}
-        self._lt = None
-
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring, {})
-
-    @classmethod
-    def basis_vector(cls, ring, label, poly=None):
-        return cls(ring, {tuple(label): poly if poly is not None else ring.one()})
-
-    @property
-    def entries(self):
-        return dict(self._entries)
-
-    def entry(self, label) -> Polynomial:
-        return self._entries.get(tuple(label), self.ring.zero())
-
-    def labels(self):
-        return sorted(self._entries, key=subset_key)
-
-    def is_zero(self) -> bool:
-        return not self._entries
-
-    def lt(self):
-        """(monomial, coefficient, label) of the leading term under TOP-lex."""
-        if self._lt is None:
-            if not self._entries:
-                raise ValueError("zero module element has no leading term")
-            best = None
-            best_key = None
-            for label, p in self._entries.items():
-                m = p.lm()
-                key = (m, subset_key(label))
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best = (m, p._d[m], label)
-            self._lt = best
-        return self._lt
-
-    def __add__(self, other):
-        self._check(other)
-        entries = dict(self._entries)
-        for s, p in other._entries.items():
-            q = entries.get(s)
-            entries[s] = p if q is None else q + p
-        return ModuleElement(self.ring, entries)
-
-    def __sub__(self, other):
-        self._check(other)
-        entries = dict(self._entries)
-        for s, p in other._entries.items():
-            q = entries.get(s)
-            entries[s] = -p if q is None else q - p
-        return ModuleElement(self.ring, entries)
-
-    def __neg__(self):
-        return ModuleElement(self.ring, {s: -p for s, p in self._entries.items()})
-
-    def scale(self, c):
-        return ModuleElement(self.ring, {s: p.scale(c) for s, p in self._entries.items()})
-
-    def poly_mul(self, poly: Polynomial):
-        return ModuleElement(self.ring, {s: p * poly for s, p in self._entries.items()})
-
-    def mul_term(self, c, mono):
-        return ModuleElement(
-            self.ring, {s: p.mul_term(c, mono) for s, p in self._entries.items()}
-        )
-
-    def sub_scaled(self, other, c, mono):
-        """self - c * x^mono * other."""
-        entries = dict(self._entries)
-        for s, p in other._entries.items():
-            q = entries.get(s)
-            shifted = p.mul_term(c, mono)
-            entries[s] = -shifted if q is None else q - shifted
-        return ModuleElement(self.ring, entries)
-
-    def monic(self):
-        if not self._entries:
-            return self
-        _, c, _ = self.lt()
-        if c == self.ring.field.one:
-            return self
-        return self.scale(self.ring.field.inv(c))
-
-    def lift(self, parent_ring: PolyRing):
-        return ModuleElement(
-            parent_ring,
-            {s: self.ring.lift(p, parent_ring) for s, p in self._entries.items()},
-        )
-
-    def restrict(self, subring: PolyRing):
-        return ModuleElement(
-            subring,
-            {s: self.ring.restrict(p, subring) for s, p in self._entries.items()},
-        )
-
-    def uses_variable(self, name: str) -> bool:
-        r = self.ring.rank_of(name)
-        return any(
-            any(rank == r for rank, _ in m) for p in self._entries.values() for m in p._d
-        )
-
-    def sort_key(self):
-        """Canonical key: term list sorted descending, for deterministic output."""
-        items = []
-        for s in self.labels():
-            items.append((subset_key(s), self._entries[s].terms))
-        return tuple(items)
-
-    def _check(self, other):
-        if not isinstance(other, ModuleElement) or other.ring != self.ring:
-            raise RingError("module elements from different modules")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModuleElement)
-            and other.ring == self.ring
-            and other._entries == self._entries
-        )
-
-    def __hash__(self):
-        return hash((self.ring.variables, self.sort_key()))
-
-    def __str__(self):
-        if not self._entries:
-            return "0"
-        parts = []
-        for s in self.labels():
-            name = "e{" + ",".join(map(str, s)) + "}"
-            parts.append(f"({self._entries[s]})*{name}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"<ModuleElement {self}>"
+from .superalg import ExtElement, subset_key
 
 
 class _IndexedBasis(list):
@@ -194,7 +50,7 @@ class _IndexedBasis(list):
         super().append(g)
 
 
-def module_normal_form(v: ModuleElement, basis, track=False):
+def module_normal_form(v: ExtElement, basis, track=False):
     """Remainder of v modulo `basis` under TOP-lex division.
 
     With track=True also returns the quotient dict {basis_index: Polynomial}
@@ -254,8 +110,8 @@ def module_normal_form(v: ModuleElement, basis, track=False):
             if not d:
                 del work[s]
     ring = v.ring
-    remainder = ModuleElement(
-        ring, {s: Polynomial(ring, d) for s, d in rem.items()}
+    remainder = ExtElement(
+        ring, {s: Polynomial(ring, d) for s, d in rem.items()}, v.kind
     )
     if track:
         return remainder, {
@@ -264,7 +120,7 @@ def module_normal_form(v: ModuleElement, basis, track=False):
     return remainder
 
 
-def _spair(f: ModuleElement, g: ModuleElement):
+def _spair(f: ExtElement, g: ExtElement):
     """S-pair data for elements whose leading terms share a label."""
     field = f.ring.field
     mf, cf, _ = f.lt()

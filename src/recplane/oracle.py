@@ -26,14 +26,10 @@ from .caps import Caps
 from .context import instance_context
 from .fields import FieldError
 from .groebner import eliminate, groebner_ideal, ideal_equal, normal_form
-from .modules import (
-    ModuleElement,
-    module_groebner,
-    module_normal_form,
-    module_preimage,
-)
+from .modules import module_groebner, module_normal_form, module_preimage
 from .polynomials import Polynomial, PolyRing, mono_divides
 from .relations import (
+    _chart_poly_ring,
     chart_ring,
     commutative_generators,
     odd_relation,
@@ -44,13 +40,7 @@ from .relations import (
     t_ring,
     t_monomial,
 )
-from .superalg import (
-    OmegaElement,
-    XiElement,
-    ext_mul,
-    ext_mul_monomial,
-    merge_subsets,
-)
+from .superalg import DX, DZ, ExtElement, ext_mul, ext_mul_monomial, merge_subsets
 
 
 # -- reports ------------------------------------------------------------------
@@ -88,7 +78,7 @@ def instance_label(arr: Arrangement) -> str:
     return f"{tag}_n{arr.n}_m{arr.m}_{vecs}"
 
 
-# -- the ambient differential ring and the two evaluation maps ----------------
+# -- the ambient differential ring and the substitution maps ------------------
 
 
 @lru_cache(maxsize=None)
@@ -100,17 +90,19 @@ def x_ring(arr: Arrangement) -> PolyRing:
     return _x_ring(arr.field, arr.n)
 
 
+def _forms_in(ring: PolyRing, arr: Arrangement):
+    """The forms z_1..z_m as polynomials in the x variables of `ring`."""
+    zero = arr.field.zero
+    return [
+        ring.poly({ring.mono({f"x{k}": 1}): c
+                   for k, c in enumerate(row, start=1) if c != zero})
+        for row in arr.forms
+    ]
+
+
 def z_polynomials(arr: Arrangement):
     """The forms as polynomials in the x-ring."""
-    ring = x_ring(arr)
-    out = []
-    for row in arr.forms:
-        p = ring.zero()
-        for k, c in enumerate(row, start=1):
-            if c != arr.field.zero:
-                p = p + ring.term(c, {f"x{k}": 1})
-        out.append(p)
-    return out
+    return _forms_in(x_ring(arr), arr)
 
 
 @dataclass(frozen=True)
@@ -120,7 +112,7 @@ class LocalizedOmega:
     Zero testing is full expansion of the numerator; nothing is factored.
     """
 
-    numerator: OmegaElement
+    numerator: ExtElement
     den_exp: int
 
     def is_zero(self) -> bool:
@@ -145,29 +137,6 @@ def _pow_cached(cache, z, k):
         top = max(have)
         have[top + 1] = have[top] * z
     return have[k]
-
-
-def eval_h(arr: Arrangement, f: Polynomial) -> LocalizedOmega:
-    """Substitute t_i -> 1/z_i and clear to the common denominator."""
-    zs = z_polynomials(arr)
-    ring = x_ring(arr)
-    if f.is_zero():
-        return LocalizedOmega(OmegaElement.zero(ring), 0)
-    n_common = max(
-        (e for m in f._d for _, e in m), default=0
-    )
-    cache: dict = {}
-    total = ring.zero()
-    for m, c in f._d.items():
-        exps = dict(m)  # rank of t_i equals i
-        prod = ring.constant(c)
-        for i in range(1, arr.m + 1):
-            k = n_common - exps.get(i, 0)
-            if k:
-                prod = prod * _pow_cached(cache, zs[i - 1], k)
-        total = total + prod
-    comps = {(): total} if not total.is_zero() else {}
-    return LocalizedOmega(OmegaElement(ring, comps), n_common)
 
 
 def wedge_expand(field, rows, labels):
@@ -201,57 +170,92 @@ def wedge_expand(field, rows, labels):
     return acc
 
 
-def eval_psi(arr: Arrangement, xi: XiElement) -> LocalizedOmega:
-    """Substitute t_i -> 1/z_i, u_i -> dz_i/z_i; expand dz into dx."""
-    zs = z_polynomials(arr)
-    ring = x_ring(arr)
+def _substitute(arr: Arrangement, flat, ring: PolyRing,
+                entries: dict) -> LocalizedOmega:
+    """The one substitution core behind eval_h, eval_psi and eval_chart.
+
+    Off the flat t_i -> 1/z_i(x) and u_i -> dz_i(x)/z_i(x); on it
+    z_j -> z_j(x) and dz_j -> dz_j(x).  `entries` maps exterior index
+    tuples to polynomials of `ring`, whose variables are t_i off the flat
+    and z_j on it; each ring variable is resolved to its form once per
+    call.  Every term is put over the common denominator, a power of the
+    product of the off-flat forms.
+    """
     field = arr.field
+    target = x_ring(arr)
+    zs = z_polynomials(arr)
     x_labels = tuple(range(1, arr.n + 1))
-    terms = []
+    off = [(zs[i - 1], i, ring.rank_of(f"t{i}"))
+           for i in range(1, arr.m + 1) if i not in flat]
+    on = [(zs[j - 1], ring.rank_of(f"z{j}")) for j in sorted(flat)]
+    pieces = []
     n_common = 0
-    for s, p in xi._comps.items():
-        in_s = set(s)
+    for s, p in entries.items():
+        terms = []
         for m, c in p._d.items():
             exps = dict(m)
-            need = {
-                i: exps.get(i, 0) + (1 if i in in_s else 0)
-                for i in range(1, arr.m + 1)
-            }
-            n_common = max(n_common, max(need.values(), default=0))
-            terms.append((s, c, need))
+            need = [exps.get(r, 0) + (i in s) for _, i, r in off]
+            if need:
+                n_common = max(n_common, max(need))
+            terms.append((c, need, [exps.get(r, 0) for _, r in on]))
+        pieces.append((s, terms))
     cache: dict = {}
-    comps: dict = {}
-    for s, c, need in terms:
-        prod = ring.constant(c)
-        for i in range(1, arr.m + 1):
-            k = n_common - need[i]
-            if k:
-                prod = prod * _pow_cached(cache, zs[i - 1], k)
-        rows = [arr.form(i) for i in s]
-        for subset, coeff in wedge_expand(field, rows, x_labels).items():
-            add = prod.scale(coeff)
-            got = comps.get(subset)
-            comps[subset] = add if got is None else got + add
-    return LocalizedOmega(OmegaElement(ring, comps), n_common)
+    out: dict = {}
+    for s, terms in pieces:
+        expansion = wedge_expand(field, [arr.form(i) for i in s], x_labels)
+        for c, need, z_exps in terms:
+            prod = target.constant(c)
+            for (z, _, _), k in zip(off, need):
+                if n_common - k:
+                    prod = prod * _pow_cached(cache, z, n_common - k)
+            for (z, _), e in zip(on, z_exps):
+                if e:
+                    prod = prod * _pow_cached(cache, z, e)
+            for subset, coeff in expansion.items():
+                add = prod.scale(coeff)
+                got = out.get(subset)
+                out[subset] = add if got is None else got + add
+    return LocalizedOmega(ExtElement(target, out, DX), n_common)
+
+
+def eval_h(arr: Arrangement, f: Polynomial) -> LocalizedOmega:
+    """Substitute t_i -> 1/z_i and clear to the common denominator."""
+    return _substitute(arr, (), f.ring, {(): f})
+
+
+def eval_psi(arr: Arrangement, xi: ExtElement) -> LocalizedOmega:
+    """Substitute t_i -> 1/z_i, u_i -> dz_i/z_i; expand dz into dx."""
+    return _substitute(arr, (), xi.ring, xi._entries)
+
+
+def eval_chart(arr: Arrangement, flat: Flat, element) -> LocalizedOmega:
+    """Direct substitution of a chart element into the localized target.
+
+    t_i -> 1/z_i(x), u_i -> dz_i(x)/z_i(x) outside the flat; z_j -> z_j(x),
+    dz_j -> dz_j(x) on it.  Only the outside forms are inverted.
+    """
+    entries = {(): element} if isinstance(element, Polynomial) else element._entries
+    return _substitute(arr, flat.indices, element.ring, entries)
 
 
 # -- kernels from first principles ---------------------------------------------
 
 
+def _elimination_kernel(arr: Arrangement, flat, target: PolyRing):
+    """Kernel of t_i -> 1/z_i(x) off the flat and z_j -> z_j(x) on it, in
+    the ring `target`: eliminate the x's from (z_i t_i - 1) and (z_j - z_j(x))."""
+    xs = x_ring(arr).variables
+    big = PolyRing(arr.field, xs + target.variables)
+    zs = _forms_in(big, arr)
+    gens = [zs[i - 1] * big.variable(f"t{i}") - big.one()
+            for i in range(1, arr.m + 1) if i not in flat]
+    gens += [big.variable(f"z{j}") - zs[j - 1] for j in flat]
+    return eliminate(gens, set(xs), subring=target)
+
+
 def kernel_I(arr: Arrangement):
     """Generators of Ker(h) by eliminating the x's from (z_i t_i - 1)."""
-    field = arr.field
-    xs = tuple(f"x{i}" for i in range(arr.n, 0, -1))
-    ts = tuple(f"t{i}" for i in range(arr.m, 0, -1))
-    big = PolyRing(field, xs + ts)
-    gens = []
-    for i in range(1, arr.m + 1):
-        z = big.zero()
-        for k, c in enumerate(arr.form(i), start=1):
-            if c != field.zero:
-                z = z + big.term(c, {f"x{k}": 1})
-        gens.append(z * big.variable(f"t{i}") - big.one())
-    return eliminate(gens, set(xs), subring=t_ring(arr))
+    return _elimination_kernel(arr, (), t_ring(arr))
 
 
 def _instance_kernel(arr: Arrangement):
@@ -283,7 +287,7 @@ def degree_module_columns(arr: Arrangement, r: int):
         entries = {
             sub: tI.scale(c) for sub, c in _dz_expansion(arr, I).items()
         }
-        columns.append(ModuleElement(ring, entries))
+        columns.append(ExtElement(ring, entries, DZ))
     return subsets, columns
 
 
@@ -295,16 +299,8 @@ def degree_module_relations(arr: Arrangement, r: int, igens=None):
     out = []
     for I_prime in itertools.combinations(arr.basis_indices, r):
         for g in igens:
-            out.append(ModuleElement(ring, {I_prime: g}))
+            out.append(ExtElement(ring, {I_prime: g}, DZ))
     return out
-
-
-def xi_to_module(xi: XiElement) -> ModuleElement:
-    return ModuleElement(xi.ring, dict(xi._comps))
-
-
-def module_to_xi(elem: ModuleElement) -> XiElement:
-    return XiElement(elem.ring, dict(elem._entries))
 
 
 def kernel_K_degree(arr: Arrangement, r: int, igens=None):
@@ -320,11 +316,7 @@ def kernel_K_degree(arr: Arrangement, r: int, igens=None):
         return []
     relmod = degree_module_relations(arr, r, igens)
     rows = module_preimage(columns, relmod)
-    elems = [
-        ModuleElement(ring, {s: p for s, p in zip(subsets, vec) if not p.is_zero()})
-        for vec in rows
-    ]
-    return [module_to_xi(e) for e in module_groebner(elems)]
+    return module_groebner([ExtElement(ring, dict(zip(subsets, vec))) for vec in rows])
 
 
 def span_module_generators(arr: Arrangement, pres, r: int):
@@ -334,14 +326,14 @@ def span_module_generators(arr: Arrangement, pres, r: int):
     for g in pres.generators:
         el = g.element
         if isinstance(el, Polynomial):
-            el = XiElement.from_poly(el)
+            el = ExtElement.from_poly(el)
         if el.is_zero():
             continue
         k = el.grassmann_degrees()[0]
         if k > r:
             continue
         for B in itertools.combinations(range(1, arr.m + 1), r - k):
-            prod = xi_to_module(ext_mul_monomial(B, el))
+            prod = ext_mul_monomial(B, el)
             if prod.is_zero():
                 continue
             key = prod.monic().sort_key()
@@ -404,14 +396,12 @@ def verify_theorem2(arr: Arrangement, mode: str = "circuits",
     for r in range(rmax + 1):
         lhs = span_module_generators(arr, pres, r)
         if r <= arr.rank:
-            rhs = [xi_to_module(e) for e in kernel_K_degree(arr, r, igens)]
+            rhs = kernel_K_degree(arr, r, igens)
         else:
             # beyond the rank everything of this degree is a relation
             ring = t_ring(arr)
-            rhs = [
-                ModuleElement.basis_vector(ring, I)
-                for I in itertools.combinations(range(1, arr.m + 1), r)
-            ]
+            rhs = [ExtElement(ring, {I: ring.one()})
+                   for I in itertools.combinations(range(1, arr.m + 1), r)]
         equal, witness = modules_equal(lhs, rhs)
         degrees.append({"r": r, "status": "pass" if equal else "fail"})
         if not equal:
@@ -469,10 +459,9 @@ def _all_generators_in_circuit_span(arr: Arrangement,
             lhs = span_module_generators(arr, sup_c, r)
             by_degree[r] = ({e.sort_key() for e in lhs}, module_groebner(lhs))
         lhs_keys, gb = by_degree[r]
-        cand = xi_to_module(g.element)
-        if cand.sort_key() in lhs_keys:
+        if g.element.sort_key() in lhs_keys:
             continue
-        if not module_normal_form(cand, gb).is_zero():
+        if not module_normal_form(g.element, gb).is_zero():
             return False
     return True
 
@@ -504,7 +493,7 @@ def _minimal_sweep(arr: Arrangement, caps: Caps | None = None) -> Report:
                   {"ideal_equal": ok_i, "degrees": degrees})
 
 
-def verify_lemma7(arr: Arrangement, caps: Caps | None = None) -> Report:
+def verify_lemma7(arr: Arrangement) -> Report:
     """The Q-element identities and their reduction to zero, per circuit."""
     from .arrangement import circuits as circuits_of
 
@@ -516,8 +505,8 @@ def verify_lemma7(arr: Arrangement, caps: Caps | None = None) -> Report:
         gb_of_degree: dict = {}
         i1 = rel.support[0]
         plist = {S: odd_relation(arr, rel, S) for S in subsets_of(rel.support)}
-        u1 = XiElement(ring, {(i1,): ring.one()})
-        base = ext_mul(u1, XiElement.from_poly(p_of_L(ring, rel))) - plist[
+        u1 = ExtElement.generator(ring, i1)
+        base = ext_mul(u1, ExtElement.from_poly(p_of_L(ring, rel))) - plist[
             (i1,)
         ].poly_mul(ring.variable(f"t{i1}"))
         if base != q_of_LS(ring, rel, ()):
@@ -527,7 +516,7 @@ def verify_lemma7(arr: Arrangement, caps: Caps | None = None) -> Report:
             q = q_of_LS(ring, rel, S)
             checked += 1
             for i in S:
-                ui = XiElement(ring, {(i,): ring.one()})
+                ui = ExtElement.generator(ring, i)
                 if q != ext_mul(ui, plist[S]):
                     witnesses.append({"relation": list(rel.support),
                                       "S": list(S), "i": i,
@@ -544,9 +533,9 @@ def verify_lemma7(arr: Arrangement, caps: Caps | None = None) -> Report:
                                                     r - len(T)):
                         prod = ext_mul_monomial(B, p)
                         if not prod.is_zero():
-                            basis.append(xi_to_module(prod))
+                            basis.append(prod)
                 gb_of_degree[r] = module_groebner(basis)
-            nf = module_normal_form(xi_to_module(q), gb_of_degree[r])
+            nf = module_normal_form(q, gb_of_degree[r])
             if not nf.is_zero():
                 witnesses.append({"relation": list(rel.support), "S": list(S),
                                   "reduction": str(nf)})
@@ -624,22 +613,19 @@ def verify_groebner_lemma(arr: Arrangement, r: int,
         if not entries:
             continue
         t_union = ring.term(1, {f"t{i}": 1 for i in sorted(union)})
-        base = ModuleElement(
-            ring, {sub: t_union.scale(c) for sub, c in entries.items()}
+        base = ExtElement(
+            ring, {sub: t_union.scale(c) for sub, c in entries.items()}, DZ
         )
         s1.append(base.poly_mul(s_poly))
         for rel, p in zip(rels, p_polys):
             t_extra = ring.term(
                 1, {f"t{i}": 1 for i in sorted(union - set(rel.support))}
             )
-            s3.append(
-                ModuleElement(
-                    ring,
-                    {sub: p * t_extra.scale(c) for sub, c in entries.items()},
-                )
-            )
+            s3.append(ExtElement(
+                ring, {sub: p * t_extra.scale(c) for sub, c in entries.items()},
+                DZ))
     s2 = [
-        ModuleElement(ring, {I_prime: p * one_minus_s})
+        ExtElement(ring, {I_prime: p * one_minus_s}, DZ)
         for p in p_polys
         for I_prime in labels
     ]
@@ -678,7 +664,7 @@ def verify_groebner_lemma(arr: Arrangement, r: int,
             for sub, c in expansions[I].items()
         }
         if entries:
-            plain.append(ModuleElement(ring, entries).poly_mul(s_poly))
+            plain.append(ExtElement(ring, entries, DZ).poly_mul(s_poly))
     plain += s2
     span_ok = True
     plain_gb = module_groebner(plain)
@@ -774,94 +760,63 @@ def _standard_count(lt_monos, ring, d) -> int:
     return count
 
 
+def _exterior_labels(arr: Arrangement, super: bool, deg: int):
+    """(r, B) for each exterior monomial u_B of a topological degree-`deg`
+    monomial u_B t^a (|B| = r, |a| = (deg - r) / 2); only B = () unless
+    `super`."""
+    for r in range(min(arr.m, deg) + 1) if super else (0,):
+        if (deg - r) % 2 == 0:
+            for B in itertools.combinations(range(1, arr.m + 1), r):
+                yield r, B
+
+
 def hilbert(arr: Arrangement, super: bool = False, max_degree: int = 10):
     """Dimension tables by standard monomials and by the evaluation rank.
 
     Returns {"standard": {deg: dim}, "rank": {deg: dim}} over topological
     degrees 0..max_degree (t has degree 2, u degree 1).
     """
-    table_a = {d: 0 for d in range(max_degree + 1)}
-    table_b = {d: 0 for d in range(max_degree + 1)}
     ring = t_ring(arr)
     igens = _instance_kernel(arr)
-    if not super:
-        lt = [g.lm() for g in igens]
-        for d in range(max_degree // 2 + 1):
-            table_a[2 * d] = _standard_count(lt, ring, d)
-        for deg in range(max_degree + 1):
-            if deg % 2:
-                continue
-            table_b[deg] = _rank_dimension(arr, deg // 2)
-    else:
-        per_r_lt = {}
+    if super:
+        leading: dict = {}
         for r in range(min(arr.m, max_degree) + 1):
+            by_label = leading[r] = {}
             # kernel_K_degree already returns a reduced Groebner basis
-            basis = [xi_to_module(e) for e in kernel_K_degree(arr, r, igens)]
-            by_label: dict = {}
-            for g in basis:
+            for g in kernel_K_degree(arr, r, igens):
                 m, _, lab = g.lt()
                 by_label.setdefault(lab, []).append(m)
-            per_r_lt[r] = by_label
-        for deg in range(max_degree + 1):
-            total = 0
-            for r in range(min(arr.m, deg) + 1):
-                if (deg - r) % 2:
-                    continue
-                d = (deg - r) // 2
-                by_label = per_r_lt.get(r)
-                if by_label is None:
-                    continue
-                for I in itertools.combinations(range(1, arr.m + 1), r):
-                    total += _standard_count(by_label.get(I, ()), ring, d)
-            table_a[deg] = total
-            table_b[deg] = _rank_dimension_super(arr, deg)
+    else:
+        leading = {0: {(): [g.lm() for g in igens]}}
+    table_a = {}
+    table_b = {}
+    for deg in range(max_degree + 1):
+        table_a[deg] = sum(
+            _standard_count(leading[r].get(B, ()), ring, (deg - r) // 2)
+            for r, B in _exterior_labels(arr, super, deg)
+        )
+        table_b[deg] = _rank_dimension(arr, super, deg)
     return {"standard": table_a, "rank": table_b}
 
 
-def _rank_dimension(arr: Arrangement, d: int) -> int:
-    """Rank of the h-images of all degree-d t-monomials."""
+def _rank_dimension(arr: Arrangement, super: bool, deg: int) -> int:
+    """Rank of the images of all monomials of topological degree `deg`:
+    u_B t^a under psi, or t^a under h when not `super`."""
     ring = t_ring(arr)
-    max_den = 0
     images = []
-    for m in _t_monomials_of_degree(ring, d):
-        img = eval_h(arr, Polynomial(ring, {m: arr.field.one}))
-        images.append(img)
-        max_den = max(max_den, img.den_exp)
+    for r, B in _exterior_labels(arr, super, deg):
+        for m in _t_monomials_of_degree(ring, (deg - r) // 2):
+            poly = Polynomial(ring, {m: arr.field.one})
+            images.append(eval_psi(arr, ExtElement(ring, {B: poly})) if super
+                          else eval_h(arr, poly))
+    max_den = max((img.den_exp for img in images), default=0)
     zs = z_polynomials(arr)
     cols: dict = {}
     vecs = []
     for img in images:
-        img = img.with_denominator(zs, max_den)
         vec = {}
-        poly = img.numerator.component(())
-        for mono, c in poly._d.items():
-            vec[cols.setdefault(((), mono), len(cols))] = c
-        vecs.append(vec)
-    return _sparse_rank(arr.field, vecs, len(cols))
-
-
-def _rank_dimension_super(arr: Arrangement, deg: int) -> int:
-    """Rank of the psi-images of all monomials of topological degree `deg`."""
-    ring = t_ring(arr)
-    images = []
-    max_den = 0
-    for r in range(min(arr.m, deg) + 1):
-        if (deg - r) % 2:
-            continue
-        d = (deg - r) // 2
-        for B in itertools.combinations(range(1, arr.m + 1), r):
-            for m in _t_monomials_of_degree(ring, d):
-                xi = XiElement(ring, {B: Polynomial(ring, {m: arr.field.one})})
-                img = eval_psi(arr, xi)
-                images.append(img)
-                max_den = max(max_den, img.den_exp)
-    zs = z_polynomials(arr)
-    cols: dict = {}
-    vecs = []
-    for img in images:
-        img = img.with_denominator(zs, max_den)
-        vec = {}
-        for s, poly in img.numerator._comps.items():
+        numerator = img.with_denominator(zs, max_den).numerator
+        for s, poly in numerator._entries.items():
             for mono, c in poly._d.items():
                 vec[cols.setdefault((s, mono), len(cols))] = c
         vecs.append(vec)
@@ -897,76 +852,9 @@ def chart_kernel(arr: Arrangement, flat: Flat):
     The chart sends t_i to 1/z_i(x) for i outside the flat and z_j to the
     form z_j(x) on it; the kernel is computed in the chart polynomial ring.
     """
-    from .relations import _chart_poly_ring
-
-    field = arr.field
-    s_v = set(flat.indices)
-    t_idx = tuple(i for i in range(1, arr.m + 1) if i not in s_v)
-    chart = _chart_poly_ring(field, t_idx, tuple(flat.indices))
-    xs = tuple(f"x{i}" for i in range(arr.n, 0, -1))
-    big = PolyRing(field, xs + chart.variables)
-
-    def z_poly(i):
-        p = big.zero()
-        for k, c in enumerate(arr.form(i), start=1):
-            if c != field.zero:
-                p = p + big.term(c, {f"x{k}": 1})
-        return p
-
-    gens = []
-    for i in t_idx:
-        gens.append(z_poly(i) * big.variable(f"t{i}") - big.one())
-    for j in flat.indices:
-        gens.append(big.variable(f"z{j}") - z_poly(j))
-    return eliminate(gens, set(xs), subring=chart)
-
-
-def eval_chart(arr: Arrangement, flat: Flat, element) -> LocalizedOmega:
-    """Direct substitution of a chart element into the localized target.
-
-    t_i -> 1/z_i(x), u_i -> dz_i(x)/z_i(x) outside the flat; z_j -> z_j(x),
-    dz_j -> dz_j(x) on it.  Only the outside forms are inverted.
-    """
-    field = arr.field
-    ring = x_ring(arr)
-    s_v = set(flat.indices)
-    outside = [i for i in range(1, arr.m + 1) if i not in s_v]
-    if isinstance(element, Polynomial):
-        comps = {(): element}
-    else:
-        comps = dict(element._comps)
-    zs = z_polynomials(arr)
-    x_labels = tuple(range(1, arr.n + 1))
-    chart_r = None
-    terms = []
-    n_common = 0
-    for s, p in comps.items():
-        chart_r = p.ring
-        for m, c in p._d.items():
-            by_name = {n: e for n, e in chart_r.mono_items(m)}
-            need = {}
-            for i in outside:
-                need[i] = by_name.get(f"t{i}", 0) + (1 if i in s else 0)
-            n_common = max(n_common, max(need.values(), default=0))
-            terms.append((s, c, by_name, need))
-    cache: dict = {}
-    out: dict = {}
-    for s, c, by_name, need in terms:
-        prod = ring.constant(c)
-        for i in outside:
-            k = n_common - need[i]
-            if k:
-                prod = prod * _pow_cached(cache, zs[i - 1], k)
-        for j in sorted(s_v):
-            e = by_name.get(f"z{j}", 0)
-            if e:
-                prod = prod * _pow_cached(cache, zs[j - 1], e)
-        rows = [arr.form(i) for i in s]
-        for subset, coeff in wedge_expand(field, rows, x_labels).items():
-            add = prod.scale(coeff)
-            got = out.get(subset)
-            out[subset] = add if got is None else got + add
-    return LocalizedOmega(OmegaElement(ring, out), n_common)
+    t_idx = tuple(i for i in range(1, arr.m + 1) if i not in flat.indices)
+    chart = _chart_poly_ring(arr.field, t_idx, tuple(flat.indices))
+    return _elimination_kernel(arr, flat.indices, chart)
 
 
 def verify_charts(arr: Arrangement, caps: Caps | None = None,

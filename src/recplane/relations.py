@@ -17,13 +17,7 @@ from .caps import Caps
 from .context import instance_context
 from .fields import field_to_json
 from .polynomials import Polynomial, PolyRing, RingError
-from .superalg import (
-    ExtElement,
-    TdzElement,
-    XiElement,
-    ext_mul,
-    xi_from_tdz,
-)
+from .superalg import DZ, ExtElement, ext_mul, xi_from_tdz
 
 
 @lru_cache(maxsize=None)
@@ -49,19 +43,17 @@ def p_of_L(ring: PolyRing, rel: Relation) -> Polynomial:
     return out
 
 
-def d_of_L(ring: PolyRing, rel: Relation) -> TdzElement:
+def d_of_L(ring: PolyRing, rel: Relation) -> ExtElement:
     """sum_j a_j * dz_{i_j} with unit polynomial parts."""
-    comps = {}
-    for i, a in zip(rel.support, rel.coeffs):
-        comps[(i,)] = ring.constant(a)
-    return TdzElement(ring, comps)
+    entries = {(i,): ring.constant(a) for i, a in zip(rel.support, rel.coeffs)}
+    return ExtElement(ring, entries, DZ)
 
 
-def _dz_wedge(ring: PolyRing, subset) -> TdzElement:
-    return TdzElement(ring, {tuple(subset): ring.one()})
+def _dz_wedge(ring: PolyRing, subset) -> ExtElement:
+    return ExtElement(ring, {tuple(subset): ring.one()}, DZ)
 
 
-def p_of_LS(ring: PolyRing, rel: Relation, subset) -> XiElement:
+def p_of_LS(ring: PolyRing, rel: Relation, subset) -> ExtElement:
     """The odd relation for (L, S).
 
     Built as P_L dz_S minus, for each position s in S, the correction
@@ -73,9 +65,7 @@ def p_of_LS(ring: PolyRing, rel: Relation, subset) -> XiElement:
     if not set(S) <= set(rel.support):
         raise ValueError("subset must lie inside the relation support")
     support = set(rel.support)
-    base = ext_mul(
-        TdzElement.from_poly(p_of_L(ring, rel)), _dz_wedge(ring, S)
-    )
+    base = ext_mul(ExtElement.from_poly(p_of_L(ring, rel), DZ), _dz_wedge(ring, S))
     dL = d_of_L(ring, rel)
     total = base
     for s_pos, j in enumerate(S):
@@ -87,7 +77,7 @@ def p_of_LS(ring: PolyRing, rel: Relation, subset) -> XiElement:
     return xi_from_tdz(total)
 
 
-def q_of_LS(ring: PolyRing, rel: Relation, subset) -> XiElement:
+def q_of_LS(ring: PolyRing, rel: Relation, subset) -> ExtElement:
     """t_{|L|} * dL wedge dz_S, converted into the u-variables."""
     S = tuple(sorted(subset))
     if not set(S) <= set(rel.support):
@@ -100,7 +90,7 @@ def q_of_LS(ring: PolyRing, rel: Relation, subset) -> XiElement:
 class GeneratorRecord:
     """A presentation generator plus where it came from."""
 
-    element: object  # Polynomial or XiElement
+    element: object  # Polynomial or ExtElement
     relation: Relation
     subset: tuple | None  # None in the commutative case
 
@@ -205,7 +195,7 @@ def subsets_of(support, size=None):
     return out
 
 
-def odd_relation(arr: Arrangement, rel: Relation, subset) -> XiElement:
+def odd_relation(arr: Arrangement, rel: Relation, subset) -> ExtElement:
     """P_{L,S} for a relation of the arrangement, from the instance table."""
     table = instance_context(arr).odd_relations
     key = (rel, tuple(subset))
@@ -285,44 +275,8 @@ class ChartRing:
             tag = f"L={list(g.relation.support)}"
             if g.subset is not None:
                 tag += f" S={list(g.subset)}"
-            lines.append(f"  [{tag}] {format_chart_element(g.element, self.flat)}")
+            lines.append(f"  [{tag}] {g.element}")
         return "\n".join(lines)
-
-
-class ChartSuperElement(ExtElement):
-    """Exterior element on a chart; index kind (u vs dz) depends on the flat."""
-
-    ext_prefix = "u"
-
-
-def format_chart_element(element, flat: Flat) -> str:
-    if isinstance(element, Polynomial):
-        return str(element)
-    s_v = set(flat.indices)
-    from .polynomials import format_scalar_factor
-
-    if element.is_zero():
-        return "0"
-    ring = element.ring
-    chunks = []
-    for s in element.subsets():
-        p = element._comps[s]
-        ext = "*".join(f"dz{i}" if i in s_v else f"u{i}" for i in s)
-        for m, c in p.terms:
-            neg, mag = format_scalar_factor(ring.field, c)
-            factors = []
-            if (not m and not s) or mag != "1":
-                factors.append(mag)
-            for name, x in ring.mono_items(m):
-                factors.append(name if x == 1 else f"{name}^{x}")
-            if ext:
-                factors.append(ext)
-            text = "*".join(factors)
-            if not chunks:
-                chunks.append(f"-{text}" if neg else text)
-            else:
-                chunks.append(f"- {text}" if neg else f"+ {text}")
-    return " ".join(chunks)
 
 
 def _divide_monomial(chart_ring, s_v, divisors, mono, subset):
@@ -375,8 +329,8 @@ def chart_divide(chart_poly_ring, s_v, rel: Relation, element):
 
     if isinstance(element, Polynomial):
         return convert(element._d, ())
-    comps = {s: convert(p._d, s) for s, p in element._comps.items()}
-    return ChartSuperElement(chart_poly_ring, comps)
+    entries = {s: convert(p._d, s) for s, p in element._entries.items()}
+    return ExtElement(chart_poly_ring, entries, frozenset(s_v))
 
 
 def chart_ring(

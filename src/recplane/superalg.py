@@ -1,15 +1,32 @@
-"""Exterior-algebra layers over a polynomial ring.
+"""Exterior-algebra elements over a polynomial ring.
 
-Elements of F[t] (x) Lambda[u] and the odd-differential analog F[t] (x)
-Lambda[dz] share one representation: a map from ascending index tuples (the
-exterior part) to polynomial coefficients.  Signs are normalized into the
-coefficients at construction, so equality is structural.  Exterior squares
-vanish in every characteristic, including 2.
+One class, `ExtElement`, holds every element of R (x) Lambda the library
+uses: a map from ascending index tuples (the exterior part, or the basis
+labels of a free module) to polynomial coefficients.  The kind of exterior
+variable is an attribute, not a subclass:
+
+- ``"u"``: F[t] (x) Lambda[u], the odd presentations and their kernels;
+- ``"dz"``: F[t] (x) Lambda[dz], the differential forms P_{L,S} come from;
+- ``"dx"``: F[x] (x) Lambda[dx], the localized target of the evaluations;
+- a frozenset of form indices: a chart on that flat, where index j reads
+  dz_j on the flat and u_j off it.
+
+Kind takes part in equality and in every operation on two elements.  Signs
+are normalized into the coefficients at construction, so equality is
+structural.  Exterior squares vanish in every characteristic, including 2.
 """
 
 from __future__ import annotations
 
-from .polynomials import Polynomial, PolyRing, RingError, _parse_terms
+from .polynomials import (
+    Polynomial,
+    PolyRing,
+    RingError,
+    _parse_terms,
+    format_scalar_factor,
+)
+
+U, DZ, DX = "u", "dz", "dx"
 
 
 class UnconvertibleMonomial(ValueError):
@@ -23,6 +40,13 @@ class UnconvertibleMonomial(ValueError):
 def subset_key(subset):
     """Sort key making the label order total: larger descending tuple wins."""
     return subset[::-1]
+
+
+def ext_name(kind, i: int) -> str:
+    """The name of exterior variable i under `kind`."""
+    if isinstance(kind, str):
+        return f"{kind}{i}"
+    return f"dz{i}" if i in kind else f"u{i}"
 
 
 def shuffle_sign(s1, s2) -> int:
@@ -49,125 +73,187 @@ def merge_subsets(s1, s2):
 
 
 class ExtElement:
-    """Polynomial coefficients keyed by exterior index subsets."""
+    """Immutable element; polynomial entries keyed by ascending label tuple.
 
-    __slots__ = ("ring", "_comps")
+    As a free-module element the term order is TOP (term over position)
+    lex: monomials compare under the ring's lex order first, then labels by
+    their descending index tuples (`subset_key`).
+    """
 
-    def __init__(self, ring: PolyRing, comps: dict):
+    __slots__ = ("ring", "kind", "_entries", "_lt")
+
+    def __init__(self, ring: PolyRing, entries: dict, kind=U):
         self.ring = ring
-        self._comps = {s: p for s, p in comps.items() if not p.is_zero()}
+        self.kind = kind
+        self._entries = {s: p for s, p in entries.items() if not p.is_zero()}
+        self._lt = None
 
     @classmethod
-    def zero(cls, ring):
-        return cls(ring, {})
+    def zero(cls, ring, kind=U):
+        return cls(ring, {}, kind)
 
     @classmethod
-    def from_poly(cls, poly: Polynomial):
-        return cls(poly.ring, {(): poly})
+    def from_poly(cls, poly: Polynomial, kind=U):
+        return cls(poly.ring, {(): poly}, kind)
 
     @classmethod
-    def generator(cls, ring, index: int):
-        return cls(ring, {(index,): ring.one()})
+    def generator(cls, ring, index: int, kind=U):
+        return cls(ring, {(index,): ring.one()}, kind)
 
     @property
-    def components(self):
-        return dict(self._comps)
+    def entries(self):
+        return dict(self._entries)
 
-    def component(self, subset) -> Polynomial:
-        return self._comps.get(tuple(subset), self.ring.zero())
+    def entry(self, label) -> Polynomial:
+        return self._entries.get(tuple(label), self.ring.zero())
 
-    def subsets(self):
-        return sorted(self._comps, key=subset_key)
+    def labels(self):
+        return sorted(self._entries, key=subset_key)
 
     def is_zero(self) -> bool:
-        return not self._comps
+        return not self._entries
 
     def grassmann_degrees(self):
-        return sorted({len(s) for s in self._comps})
+        return sorted({len(s) for s in self._entries})
+
+    def lt(self):
+        """(monomial, coefficient, label) of the leading term under TOP-lex."""
+        if self._lt is None:
+            if not self._entries:
+                raise ValueError("zero element has no leading term")
+            best = None
+            best_key = None
+            for label, p in self._entries.items():
+                m = p.lm()
+                key = (m, subset_key(label))
+                if best_key is None or key > best_key:
+                    best_key = key
+                    best = (m, p._d[m], label)
+            self._lt = best
+        return self._lt
+
+    def _map(self, fn):
+        return ExtElement(self.ring, {s: fn(p) for s, p in self._entries.items()},
+                          self.kind)
 
     def __add__(self, other):
         self._check(other)
-        comps = dict(self._comps)
-        for s, p in other._comps.items():
-            q = comps.get(s)
-            comps[s] = p if q is None else q + p
-        return type(self)(self.ring, comps)
+        entries = dict(self._entries)
+        for s, p in other._entries.items():
+            q = entries.get(s)
+            entries[s] = p if q is None else q + p
+        return ExtElement(self.ring, entries, self.kind)
 
     def __sub__(self, other):
         self._check(other)
-        comps = dict(self._comps)
-        for s, p in other._comps.items():
-            q = comps.get(s)
-            comps[s] = -p if q is None else q - p
-        return type(self)(self.ring, comps)
+        entries = dict(self._entries)
+        for s, p in other._entries.items():
+            q = entries.get(s)
+            entries[s] = -p if q is None else q - p
+        return ExtElement(self.ring, entries, self.kind)
 
     def __neg__(self):
-        return type(self)(self.ring, {s: -p for s, p in self._comps.items()})
+        return self._map(lambda p: -p)
 
     def scale(self, c):
-        return type(self)(self.ring, {s: p.scale(c) for s, p in self._comps.items()})
+        return self._map(lambda p: p.scale(c))
 
     def poly_mul(self, poly: Polynomial):
-        return type(self)(self.ring, {s: p * poly for s, p in self._comps.items()})
+        return self._map(lambda p: p * poly)
+
+    def mul_term(self, c, mono):
+        return self._map(lambda p: p.mul_term(c, mono))
+
+    def monic(self):
+        if not self._entries:
+            return self
+        _, c, _ = self.lt()
+        if c == self.ring.field.one:
+            return self
+        return self.scale(self.ring.field.inv(c))
+
+    def lift(self, parent_ring: PolyRing):
+        return ExtElement(
+            parent_ring,
+            {s: self.ring.lift(p, parent_ring) for s, p in self._entries.items()},
+            self.kind,
+        )
+
+    def restrict(self, subring: PolyRing):
+        return ExtElement(
+            subring,
+            {s: self.ring.restrict(p, subring) for s, p in self._entries.items()},
+            self.kind,
+        )
+
+    def uses_variable(self, name: str) -> bool:
+        r = self.ring.rank_of(name)
+        return any(
+            any(rank == r for rank, _ in m) for p in self._entries.values() for m in p._d
+        )
+
+    def sort_key(self):
+        """Canonical key: term list sorted descending, for deterministic output."""
+        return tuple((subset_key(s), self._entries[s].terms) for s in self.labels())
 
     def _check(self, other):
-        if type(other) is not type(self) or other.ring != self.ring:
+        if (not isinstance(other, ExtElement) or other.kind != self.kind
+                or other.ring != self.ring):
             raise RingError("mixed exterior elements")
 
     def __eq__(self, other):
         return (
-            type(other) is type(self)
+            isinstance(other, ExtElement)
+            and other.kind == self.kind
             and other.ring == self.ring
-            and other._comps == self._comps
+            and other._entries == self._entries
         )
 
     def __hash__(self):
-        return hash(
-            (type(self).__name__, self.ring.variables,
-             tuple(sorted((s, p.terms) for s, p in self._comps.items())))
-        )
+        return hash((self.kind, self.ring.variables, self.sort_key()))
 
     def __str__(self):
-        return format_ext(self)
+        if not self._entries:
+            return "0"
+        ring = self.ring
+        chunks = []
+        for s in self.labels():
+            ext = "*".join(ext_name(self.kind, i) for i in s)
+            for m, c in self._entries[s].terms:
+                neg, mag = format_scalar_factor(ring.field, c)
+                factors = []
+                if (not m and not s) or mag != "1":
+                    factors.append(mag)
+                for name, x in ring.mono_items(m):
+                    factors.append(name if x == 1 else f"{name}^{x}")
+                if ext:
+                    factors.append(ext)
+                text = "*".join(factors)
+                if not chunks:
+                    chunks.append(f"-{text}" if neg else text)
+                else:
+                    chunks.append(f"- {text}" if neg else f"+ {text}")
+        return " ".join(chunks)
 
     def __repr__(self):
-        return f"<{type(self).__name__} {format_ext(self)}>"
-
-
-class XiElement(ExtElement):
-    """Element of F[t_1..t_m] tensor Lambda[u_1..u_m]; keys are u-subsets."""
-
-    ext_prefix = "u"
-
-
-class TdzElement(ExtElement):
-    """Element of F[t_1..t_m] tensor Lambda[dz_1..dz_m]; keys are dz-subsets."""
-
-    ext_prefix = "dz"
-
-
-class OmegaElement(ExtElement):
-    """Element of F[x_1..x_n] tensor Lambda[dx_1..dx_n]; keys are dx-subsets."""
-
-    ext_prefix = "dx"
+        return f"<ExtElement {self}>"
 
 
 def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
     """Graded-commutative product; exterior squares vanish identically."""
-    if type(a) is not type(b) or a.ring != b.ring:
-        raise RingError("mixed exterior elements")
-    comps: dict = {}
-    for s1, p1 in a._comps.items():
-        for s2, p2 in b._comps.items():
+    a._check(b)
+    entries: dict = {}
+    for s1, p1 in a._entries.items():
+        for s2, p2 in b._entries.items():
             sign, s = merge_subsets(s1, s2)
             if sign == 0:
                 continue
             prod = p1 * p2
             if sign < 0:
                 prod = -prod
-            q = comps.get(s)
-            comps[s] = prod if q is None else q + prod
-    return type(a)(a.ring, comps)
+            q = entries.get(s)
+            entries[s] = prod if q is None else q + prod
+    return ExtElement(a.ring, entries, a.kind)
 
 
 def ext_mul_monomial(subset, e: ExtElement) -> ExtElement:
@@ -178,28 +264,27 @@ def ext_mul_monomial(subset, e: ExtElement) -> ExtElement:
     shuffle sign, or drops out when it meets `subset`.  Distinct labels stay
     distinct, so no two terms combine.
     """
-    comps = {}
-    for s, p in e._comps.items():
+    entries = {}
+    for s, p in e._entries.items():
         sign, merged = merge_subsets(subset, s)
         if sign:
-            comps[merged] = p if sign > 0 else -p
-    return type(e)(e.ring, comps)
+            entries[merged] = p if sign > 0 else -p
+    return ExtElement(e.ring, entries, e.kind)
 
 
-def xi_from_tdz(e: TdzElement, t_name=lambda i: f"t{i}") -> XiElement:
-    """Substitute t_j * dz_j -> u_j throughout.
+def xi_from_tdz(e: ExtElement) -> ExtElement:
+    """Substitute t_j * dz_j -> u_j throughout a dz element.
 
     Every monomial must carry a t_j factor for each of its dz_j factors;
     otherwise the element does not lie in the u-subalgebra and we raise
     UnconvertibleMonomial.  Indices keep their slots, so no signs appear.
     """
+    if e.kind != DZ:
+        raise RingError("only dz elements convert to u elements")
     ring = e.ring
-    comps: dict = {}
-    for s, p in e._comps.items():
-        ranks = []
-        for j in s:
-            ranks.append(ring.rank_of(t_name(j)))
-        need = sorted(ranks, reverse=True)
+    entries: dict = {}
+    for s, p in e._entries.items():
+        need = sorted((ring.rank_of(f"t{j}") for j in s), reverse=True)
         d = {}
         for m, c in p._d.items():
             exps = dict(m)
@@ -217,54 +302,29 @@ def xi_from_tdz(e: TdzElement, t_name=lambda i: f"t{i}") -> XiElement:
                     exps[r] = have - 1
             d[tuple(sorted(exps.items(), reverse=True))] = c
         poly = Polynomial(ring, d)
-        q = comps.get(s)
-        comps[s] = poly if q is None else q + poly
-    return XiElement(ring, comps)
+        q = entries.get(s)
+        entries[s] = poly if q is None else q + poly
+    return ExtElement(ring, entries, U)
 
 
-def format_ext(e: ExtElement) -> str:
-    if e.is_zero():
-        return "0"
-    from .polynomials import format_scalar_factor
+def parse_ext(ring: PolyRing, text: str, kind=U) -> ExtElement:
+    """Parse e.g. ``t1*u2 - u3*u1`` normalizing exterior factor order/signs.
 
-    prefix = getattr(e, "ext_prefix", "u")
-    ring = e.ring
-    chunks = []
-    for s in e.subsets():
-        p = e._comps[s]
-        ext = "*".join(f"{prefix}{i}" for i in s)
-        for m, c in p.terms:
-            neg, mag = format_scalar_factor(ring.field, c)
-            factors = []
-            if (not m and not s) or mag != "1":
-                factors.append(mag)
-            for name, x in ring.mono_items(m):
-                factors.append(name if x == 1 else f"{name}^{x}")
-            if ext:
-                factors.append(ext)
-            text = "*".join(factors)
-            if not chunks:
-                chunks.append(f"-{text}" if neg else text)
-            else:
-                chunks.append(f"- {text}" if neg else f"+ {text}")
-    return " ".join(chunks)
-
-
-def parse_ext(ring: PolyRing, text: str, cls=XiElement, prefix=None) -> ExtElement:
-    """Parse e.g. ``t1*u2 - u3*u1`` normalizing exterior factor order/signs."""
-    prefix = prefix or cls.ext_prefix
-    comps: dict = {}
+    A factor is exterior when it is the name `kind` gives its index.
+    """
+    entries: dict = {}
     for coeff_text, exps in _parse_terms(text):
         c = ring.field.parse(coeff_text)
         indices = []
         poly_exps = {}
         dead = False
         for name, e in exps.items():
-            if name.startswith(prefix) and name[len(prefix):].isdigit():
+            digits = name[len(name.rstrip("0123456789")):]
+            if digits and ext_name(kind, int(digits)) == name:
                 if e > 1:
                     dead = True  # exterior square
                     break
-                indices.append(int(name[len(prefix):]))
+                indices.append(int(digits))
             else:
                 poly_exps[name] = e
         if dead:
@@ -286,6 +346,6 @@ def parse_ext(ring: PolyRing, text: str, cls=XiElement, prefix=None) -> ExtEleme
             c = ring.field.neg(c)
         s = tuple(ordered)
         poly = ring.term(c, poly_exps)
-        q = comps.get(s)
-        comps[s] = poly if q is None else q + poly
-    return cls(ring, comps)
+        q = entries.get(s)
+        entries[s] = poly if q is None else q + poly
+    return ExtElement(ring, entries, kind)

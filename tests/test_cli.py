@@ -22,6 +22,14 @@ E3_SPEC = {
 }
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def golden(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 @pytest.fixture
 def specs(tmp_path):
     paths = {}
@@ -96,6 +104,37 @@ def test_charts_subcommand(specs, capsys):
     )
     assert code == 0
     assert "dz1" in out
+
+
+def test_charts_super_json_renders_dz_on_the_flat(specs, capsys):
+    """On flat [1] of the triangle, index 1 reads dz1 in the JSON element
+    strings, as in the text output and the chart's variable lists."""
+    code, out, _ = run_cli(capsys, "--format", "json", "charts", "--flat",
+                           "1", "--super", specs["E2"])
+    assert code == 0
+    (chart,) = json.loads(out)["charts"]
+    assert chart["flat"] == [1]
+    assert chart["variables"]["dz"] == ["dz1"]
+    elements = [g["element"] for g in chart["generators"]]
+    assert any("dz1" in e for e in elements)
+    assert not any("u1" in e for e in elements)
+
+
+def test_charts_super_golden(specs, capsys):
+    code, out, _ = run_cli(capsys, "charts", "--super", specs["E3"])
+    assert code == 0
+    assert out == golden("charts_super_e3.txt")
+    code, out, _ = run_cli(capsys, "--format", "json", "charts", "--super",
+                           specs["E3"])
+    assert code == 0
+    assert out == golden("charts_super_e3.json")
+
+
+def test_hilbert_super_golden(specs, capsys):
+    code, out, _ = run_cli(capsys, "hilbert", "--super", "--max-degree", "4",
+                           specs["E1"])
+    assert code == 0
+    assert out == golden("hilbert_super_e1.txt")
 
 
 def test_malformed_json_exit_code(tmp_path, capsys):

@@ -7,7 +7,6 @@ from recplane.fields import PrimeField, RationalField
 from recplane.groebner import groebner_ideal, normal_form
 import recplane.modules as modules
 from recplane.modules import (
-    ModuleElement,
     is_module_groebner,
     module_buchberger,
     module_groebner,
@@ -18,6 +17,7 @@ from recplane.modules import (
     reduce_module_basis,
 )
 from recplane.polynomials import PolyRing
+from recplane.superalg import ExtElement
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -29,7 +29,7 @@ def t_ring(field, m):
 
 
 def vec(ring, label, text):
-    return ModuleElement(ring, {label: ring.parse(text)})
+    return ExtElement(ring, {label: ring.parse(text)})
 
 
 def test_normal_form_monomial():
@@ -79,14 +79,14 @@ def test_module_tracking_produces_membership_certificates():
                 mono = r.mono({f"t{i}": rng.randint(0, 2) for i in (1, 2, 3)})
                 poly = d.get(label, r.zero()) + r.poly({mono: 1})
                 d[label] = poly
-            gens.append(ModuleElement(r, d))
+            gens.append(ExtElement(r, d))
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
         basis = module_groebner(gens)
         assert is_module_groebner(basis)
         # a random combination must reduce to zero
-        combo = ModuleElement.zero(r)
+        combo = ExtElement.zero(r)
         for g in gens:
             factor = r.poly({r.mono({"t1": rng.randint(0, 1)}): 1})
             combo = combo + g.poly_mul(factor)
@@ -145,12 +145,12 @@ def from_terms(ring, labels, terms):
         label = labels[slot % len(labels)]
         mono = ring.mono({f"t{i + 1}": x for i, x in enumerate(e) if x})
         entries[label] = entries.get(label, ring.zero()) + ring.poly({mono: c})
-    return ModuleElement(ring, entries)
+    return ExtElement(ring, entries)
 
 
 def combine(gens, row):
     """sum(row[i] * gens[i]) for a row {index: Polynomial}."""
-    total = ModuleElement.zero(gens[0].ring)
+    total = ExtElement.zero(gens[0].ring)
     for idx, poly in row.items():
         total = total + gens[idx].poly_mul(poly)
     return total
@@ -163,7 +163,7 @@ def test_tracked_completion_seed16_regression():
     r = t_ring(F3, 3)
     gens = [
         vec(r, (2,), "2*t3*t2*t1^2 + t3 + 2*t1"),
-        ModuleElement(r, {(2,): r.parse("t2^2*t1^2 + t2"),
+        ExtElement(r, {(2,): r.parse("t2^2*t1^2 + t2"),
                           (1, 2): r.parse("2*t1")}),
         vec(r, (1, 2), "2*t3*t2^2*t1 + t3*t1^2 + t3"),
         vec(r, (2,), "2*t3^2*t2^2*t1 + t3*t2*t1^2 + 1"),
@@ -204,7 +204,7 @@ def test_chain_criterion_skips_a_pair(monkeypatch):
         assert combine(gens, row).is_zero()
 
     def as_vec(row):
-        return ModuleElement(r, {(i + 1,): p for i, p in row.items()})
+        return ExtElement(r, {(i + 1,): p for i, p in row.items()})
 
     # the skipped Koszul syzygy t1*e2 - t2*e3 (= t1*e2 + t2*e3 over F_2)
     # lies in the span of the two that remain
@@ -248,7 +248,7 @@ def test_preimage_identity_full_target():
     full = [vec(r, (1,), "1"), vec(r, (2,), "1")]
     rows = module_preimage(cols, full)
     basis = module_groebner(
-        [ModuleElement(r, {(i,): p for i, p in zip((1, 2), row) if not p.is_zero()})
+        [ExtElement(r, {(i,): p for i, p in zip((1, 2), row) if not p.is_zero()})
          for row in rows]
     )
     for i in (1, 2):
@@ -314,7 +314,7 @@ def test_syzygies_annihilate_generators():
             label = tuple(sorted(rng.sample((1, 2), rng.randint(0, 2))))
             mono = r.mono({f"t{i}": rng.randint(0, 2) for i in (1, 2, 3)})
             d[label] = r.poly({mono: 1})
-            gens.append(ModuleElement(r, d))
+            gens.append(ExtElement(r, d))
         for row in module_syzygies(gens):
             assert combine(gens, row).is_zero()
 
@@ -346,13 +346,13 @@ def test_rank_one_module_matches_ideal_engine(data):
         return
     ideal_basis = groebner_ideal(polys)
     module_basis = module_groebner(
-        [ModuleElement(r, {(): p}) for p in polys]
+        [ExtElement(r, {(): p}) for p in polys]
     )
     assert [m.entry(()) for m in module_basis] == ideal_basis
     probe = polys[0] * polys[-1]
     assert normal_form(probe, ideal_basis).is_zero()
     assert module_normal_form(
-        ModuleElement(r, {(): probe}), module_basis
+        ExtElement(r, {(): probe}), module_basis
     ).is_zero()
 
 
@@ -364,8 +364,8 @@ def test_relation_polynomial_reduces_in_rank_one_module():
 
     arr = Arrangement(F2, 2, [[1, 0], [0, 1], [1, 1]])
     ring = t_ring(arr)
-    gens = [ModuleElement(ring, {(): g}) for g in kernel_I(arr)]
+    gens = [ExtElement(ring, {(): g}) for g in kernel_I(arr)]
     basis = module_groebner(gens)
     rel = circuits(arr)[0]
-    v = ModuleElement(ring, {(): p_of_L(ring, rel)})
+    v = ExtElement(ring, {(): p_of_L(ring, rel)})
     assert module_normal_form(v, basis).is_zero()

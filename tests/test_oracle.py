@@ -22,14 +22,13 @@ from recplane.oracle import (
     verify_minimal,
     verify_theorem1,
     verify_theorem2,
-    xi_to_module,
 )
 from recplane.relations import (
     commutative_generators,
     super_generators,
     t_ring,
 )
-from recplane.superalg import XiElement, parse_ext
+from recplane.superalg import ExtElement, parse_ext
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -46,13 +45,13 @@ def test_eval_h_single_variable(four_cycle):
 
     zs = z_polynomials(four_cycle)
     expected = zs[1] * zs[2] * zs[3]
-    assert img.numerator.component(()) == expected
+    assert img.numerator.entry(()) == expected
 
 
 def test_eval_h_constant_one(four_cycle):
     img = eval_h(four_cycle, t_ring(four_cycle).one())
     assert img.den_exp == 0
-    assert img.numerator.component(()) == img.numerator.ring.one()
+    assert img.numerator.entry(()) == img.numerator.ring.one()
 
 
 def test_eval_h_kills_relation_polynomials(four_cycle, triangle_q, triangle_f2):
@@ -63,19 +62,19 @@ def test_eval_h_kills_relation_polynomials(four_cycle, triangle_q, triangle_f2):
 
 def test_eval_psi_on_u_generator(triangle_f2):
     # z1 = x1: psi(u1) has numerator z2*z3*dx1 over (z1 z2 z3)
-    img = eval_psi(triangle_f2, XiElement.generator(t_ring(triangle_f2), 1))
+    img = eval_psi(triangle_f2, ExtElement.generator(t_ring(triangle_f2), 1))
     assert img.den_exp == 1
     from recplane.oracle import z_polynomials
 
     zs = z_polynomials(triangle_f2)
-    assert img.numerator.component((1,)) == zs[1] * zs[2]
+    assert img.numerator.entry((1,)) == zs[1] * zs[2]
 
 
 def test_eval_psi_exterior_square(triangle_f2):
     from recplane.superalg import ext_mul
 
     ring = t_ring(triangle_f2)
-    u1 = XiElement.generator(ring, 1)
+    u1 = ExtElement.generator(ring, 1)
     square = ext_mul(u1, u1)
     assert square.is_zero()
     assert eval_psi(triangle_f2, square).is_zero()
@@ -88,7 +87,33 @@ def test_eval_psi_kills_super_relations(triangle_q, four_cycle):
                 assert eval_psi(arr, g.element).is_zero()
 
 
+def test_evaluation_maps_agree_on_the_empty_flat(four_cycle, triangle_q):
+    """eval_h is eval_psi in Grassmann degree 0, and eval_chart on the empty
+    flat is eval_psi on every presentation generator."""
+    from recplane.relations import chart_ring
+
+    for arr in (four_cycle, triangle_q):
+        ring = t_ring(arr)
+        polys = [ring.parse("t1*t2^2 + 3*t3"), ring.one(), ring.zero()]
+        polys += [g.element for g in commutative_generators(arr).generators]
+        for f in polys:
+            assert eval_h(arr, f) == eval_psi(arr, ExtElement.from_poly(f))
+        empty = closure(arr, ())
+        chart = chart_ring(arr, empty, super=True)
+        pairs = zip(super_generators(arr).generators, chart.generators,
+                    strict=True)
+        for g, c in pairs:
+            assert eval_chart(arr, empty, c.element) == eval_psi(arr, g.element)
+        assert not eval_psi(arr, ExtElement.generator(ring, 1)).is_zero()
+
+
 # -- kernels -------------------------------------------------------------------
+
+
+def test_kernel_I_is_the_chart_kernel_of_the_empty_flat(four_cycle, triangle_q,
+                                                        triangle_f2):
+    for arr in (four_cycle, triangle_q, triangle_f2):
+        assert kernel_I(arr) == chart_kernel(arr, closure(arr, ()))
 
 
 def test_kernel_I_boolean_is_zero(boolean3_f2, boolean2):
@@ -112,7 +137,7 @@ def test_kernel_I_triangle(triangle_f2):
 def test_kernel_K_degree_zero_matches_kernel_I(four_cycle, triangle_q, triangle_f2):
     for arr in (four_cycle, triangle_q, triangle_f2):
         k0 = kernel_K_degree(arr, 0)
-        polys = [e.component(()) for e in k0]
+        polys = [e.entry(()) for e in k0]
         assert ideal_equal(polys, kernel_I(arr))
 
 
@@ -124,9 +149,9 @@ def test_kernel_K_boolean_zero(boolean3_f2):
 def test_kernel_K_triangle_degree_two_contains_cyclic_relation(triangle_q):
     ring = t_ring(triangle_q)
     gens = kernel_K_degree(triangle_q, 2)
-    basis = module_groebner([xi_to_module(e) for e in gens])
+    basis = module_groebner(gens)
     target = parse_ext(ring, "u1*u2 + u2*u3 + u3*u1")
-    assert module_normal_form(xi_to_module(target), basis).is_zero()
+    assert module_normal_form(target, basis).is_zero()
 
 
 # -- instance-level theorem checks ----------------------------------------------
@@ -215,16 +240,32 @@ def test_minimal_falls_back_to_sweep_on_failure(monkeypatch):
     assert rep.to_json() == oracle._minimal_sweep(arr).to_json()
 
 
+def test_theorem2_settles_every_degree_by_equal_bases(monkeypatch, triangle_q,
+                                                      triangle_f2):
+    """Both sides of each degree are u elements, so modules_equal settles
+    every degree by comparing the reduced bases and reduces no generator."""
+    import recplane.oracle as oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("modules_equal reduced a generator")
+
+    monkeypatch.setattr(oracle, "module_normal_form", refuse)
+    for arr in (triangle_q, triangle_f2):
+        rep = verify_theorem2(arr)
+        assert rep.ok
+        assert rep.details["degrees"] == [
+            {"r": r, "status": "pass"} for r in range(arr.m + 1)]
+
+
 def test_modules_equal_by_bases_and_by_reduction(triangle_q):
     """Two generating sets of one span are equal by their reduced bases; a
     strictly smaller span is named by a generator outside it."""
-    from recplane.modules import ModuleElement
     from recplane.oracle import modules_equal
 
     ring = t_ring(triangle_q)
     t1, t2 = ring.variable("t1"), ring.variable("t2")
-    a = ModuleElement(ring, {(1,): t1, (2,): t2})
-    b = ModuleElement(ring, {(2,): t1})
+    a = ExtElement(ring, {(1,): t1, (2,): t2})
+    b = ExtElement(ring, {(2,): t1})
     assert modules_equal([a, b], [a + b.poly_mul(t2), b.scale(2)]) == (True, None)
     equal, witness = modules_equal([a], [a, b])
     assert not equal
@@ -407,14 +448,15 @@ def test_kernel_outputs_are_groebner(four_cycle, triangle_q):
     for arr in (four_cycle, triangle_q):
         assert is_groebner(kernel_I(arr))
         for r in range(arr.rank + 1):
-            basis = [xi_to_module(e) for e in kernel_K_degree(arr, r)]
+            basis = kernel_K_degree(arr, r)
             assert is_module_groebner(basis)
 
 
 def test_intersection_matches_preimage_kernel(triangle_q):
     """P_1 and N_1 intersected directly agree with the degree-1 kernel mapped
     through u_I -> t_I dz_I; two independent routes to the same submodule."""
-    from recplane.modules import ModuleElement, module_intersect
+    from recplane.modules import module_intersect
+    from recplane.superalg import DZ
     from recplane.oracle import degree_module_columns, degree_module_relations
 
     arr = triangle_q
@@ -425,8 +467,8 @@ def test_intersection_matches_preimage_kernel(triangle_q):
 
     images = []
     for xi in kernel_K_degree(arr, 1):
-        img = ModuleElement.zero(ring)
-        for subset, poly in xi.components.items():
+        img = ExtElement.zero(ring, DZ)
+        for subset, poly in xi.entries.items():
             col = columns[subsets.index(subset)]
             img = img + col.poly_mul(poly)
         if not img.is_zero():

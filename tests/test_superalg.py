@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recplane.fields import PrimeField, RationalField
-from recplane.polynomials import PolyRing
+from recplane.polynomials import PolyRing, RingError
 from recplane.superalg import (
-    TdzElement,
+    DZ,
+    U,
+    ExtElement,
     UnconvertibleMonomial,
-    XiElement,
     ext_mul,
     ext_mul_monomial,
     parse_ext,
@@ -46,62 +47,87 @@ def test_shuffle_sign_cocycle():
 
 def test_anticommutativity():
     r = ring()
-    u1 = XiElement.generator(r, 1)
-    u2 = XiElement.generator(r, 2)
-    assert ext_mul(u1, u2) == XiElement(r, {(1, 2): r.one()})
-    assert ext_mul(u2, u1) == -XiElement(r, {(1, 2): r.one()})
+    u1 = ExtElement.generator(r, 1)
+    u2 = ExtElement.generator(r, 2)
+    assert ext_mul(u1, u2) == ExtElement(r, {(1, 2): r.one()})
+    assert ext_mul(u2, u1) == -ExtElement(r, {(1, 2): r.one()})
 
 
 def test_exterior_square_vanishes_every_characteristic():
     for field in (Q, F2):
         r = ring(field)
-        u1 = XiElement.generator(r, 1)
+        u1 = ExtElement.generator(r, 1)
         assert ext_mul(u1, u1).is_zero()
 
 
 def test_mixed_product_with_sign():
     r = ring()
-    a = XiElement(r, {(2,): r.variable("t1")})  # t1*u2
-    b = XiElement(r, {(1,): r.variable("t3")})  # t3*u1
+    a = ExtElement(r, {(2,): r.variable("t1")})  # t1*u2
+    b = ExtElement(r, {(1,): r.variable("t3")})  # t3*u1
     prod = ext_mul(a, b)
-    assert prod == XiElement(
+    assert prod == ExtElement(
         r, {(1, 2): (r.variable("t1") * r.variable("t3")).scale(Q.from_int(-1))}
     )
 
 
 def test_xi_from_tdz_single_substitution():
     r = ring()
-    e = TdzElement(r, {(2,): r.variable("t2")})
-    assert xi_from_tdz(e) == XiElement(r, {(2,): r.one()})
+    e = ExtElement(r, {(2,): r.variable("t2")}, DZ)
+    assert xi_from_tdz(e) == ExtElement(r, {(2,): r.one()})
 
 
 def test_xi_from_tdz_pair():
     r = ring()
-    e = TdzElement(r, {(1, 3): r.parse("t1*t3")})
-    assert xi_from_tdz(e) == XiElement(r, {(1, 3): r.one()})
+    e = ExtElement(r, {(1, 3): r.parse("t1*t3")}, DZ)
+    assert xi_from_tdz(e) == ExtElement(r, {(1, 3): r.one()})
 
 
 def test_xi_from_tdz_partial_t_part():
     # t2*t3*dz2 -> t3*u2 (first summand of the worked relation example)
     r = ring()
-    e = TdzElement(r, {(2,): r.parse("t2*t3")})
-    assert xi_from_tdz(e) == XiElement(r, {(2,): r.variable("t3")})
+    e = ExtElement(r, {(2,): r.parse("t2*t3")}, DZ)
+    assert xi_from_tdz(e) == ExtElement(r, {(2,): r.variable("t3")})
 
 
 def test_xi_from_tdz_missing_factor_raises():
     r = ring()
-    e = TdzElement(r, {(2,): r.variable("t3")})
+    e = ExtElement(r, {(2,): r.variable("t3")}, DZ)
     with pytest.raises(UnconvertibleMonomial):
         xi_from_tdz(e)
 
 
 def test_parse_ext_normalizes_order_and_squares():
     r = ring(m=3)
-    assert parse_ext(r, "u2*u1") == -XiElement(r, {(1, 2): r.one()})
+    assert parse_ext(r, "u2*u1") == -ExtElement(r, {(1, 2): r.one()})
     assert parse_ext(r, "u1*u1").is_zero()
     assert parse_ext(r, "t1*u2 + t3*u2 - u1*t3 - u3*t1") == parse_ext(
         r, "u2*t1 + u2*t3 - t3*u1 - t1*u3"
     )
+
+
+def test_kind_takes_part_in_equality_and_products():
+    r = ring()
+    u = ExtElement(r, {(1,): r.one()})
+    dz = ExtElement(r, {(1,): r.one()}, DZ)
+    assert u != dz
+    with pytest.raises(RingError):
+        u + dz
+    with pytest.raises(RingError):
+        ext_mul(u, dz)
+    with pytest.raises(RingError):
+        xi_from_tdz(u)
+
+
+def test_str_renders_each_kind_and_parses_back():
+    r = ring(m=3)
+    entries = {(1, 2): r.variable("t3"), (3,): r.constant(-2)}
+    shown = {U: "t3*u1*u2 - 2*u3", DZ: "t3*dz1*dz2 - 2*dz3",
+             frozenset({1}): "t3*dz1*u2 - 2*u3",
+             frozenset({2, 3}): "t3*u1*dz2 - 2*dz3"}
+    for kind, text in shown.items():
+        e = ExtElement(r, entries, kind)
+        assert str(e) == text
+        assert parse_ext(r, text, kind) == e
 
 
 subset_strategy = st.lists(st.integers(1, 4), max_size=3).map(
@@ -114,10 +140,10 @@ xi_strategy = st.lists(
 
 
 def _xi(r, data):
-    total = XiElement.zero(r)
+    total = ExtElement.zero(r)
     for subset, coeff, exp in data:
         poly = r.term(coeff, {"t1": exp})
-        total = total + XiElement(r, {subset: poly})
+        total = total + ExtElement(r, {subset: poly})
     return total
 
 
@@ -134,7 +160,7 @@ def test_ext_mul_associative(da, db, dc):
 def test_ext_mul_unital(da):
     r = ring()
     a = _xi(r, da)
-    one = XiElement.from_poly(r.one())
+    one = ExtElement.from_poly(r.one())
     assert ext_mul(one, a) == a == ext_mul(a, one)
 
 
@@ -144,7 +170,7 @@ def test_relabelled_monomial_product_matches_ext_mul(da, B):
     """u_B * g by relabelling equals the full product with the monomial u_B."""
     r = ring()
     g = _xi(r, da)
-    assert ext_mul_monomial(B, g) == ext_mul(XiElement(r, {B: r.one()}), g)
+    assert ext_mul_monomial(B, g) == ext_mul(ExtElement(r, {B: r.one()}), g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,8 +183,8 @@ def test_graded_commutativity(data):
     sb = data.draw(st.sampled_from(list(itertools.combinations(range(1, 5), rb))))
     ca = data.draw(st.integers(-3, 3))
     cb = data.draw(st.integers(-3, 3))
-    a = XiElement(r, {sa: r.constant(ca)})
-    b = XiElement(r, {sb: r.constant(cb)})
+    a = ExtElement(r, {sa: r.constant(ca)})
+    b = ExtElement(r, {sb: r.constant(cb)})
     lhs = ext_mul(a, b)
     rhs = ext_mul(b, a)
     if (ra * rb) % 2:
@@ -180,8 +206,8 @@ def test_conversion_respects_products_on_compatible_splits(data):
     pb = r.term(cb, {"t2": data.draw(st.integers(0, 1))})
     ta = pa * r.term(1, {f"t{i}": 1 for i in sa})
     tb = pb * r.term(1, {f"t{i}": 1 for i in sb})
-    a = TdzElement(r, {sa: ta})
-    b = TdzElement(r, {sb: tb})
+    a = ExtElement(r, {sa: ta}, DZ)
+    b = ExtElement(r, {sb: tb}, DZ)
     lhs = xi_from_tdz(ext_mul(a, b))
     rhs = ext_mul(xi_from_tdz(a), xi_from_tdz(b))
     assert lhs == rhs
