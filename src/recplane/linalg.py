@@ -2,7 +2,8 @@
 
 Matrices are lists of row lists of field scalars.  Everything here is plain
 Gaussian elimination; sizes stay tiny except for the Hilbert rank oracle,
-which gets a bitmask fast path over F_2.
+which gets a bitmask fast path over F_2.  `rank` uses forward elimination
+only; `rref` (full reduction) serves `kernel_basis` and `solve_combination`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,34 @@ def rref(field, rows):
 
 
 def rank(field, rows) -> int:
-    return len(rref(field, rows)[1])
+    """Rank by forward elimination: each pivot clears the rows below it.
+
+    No row is scaled and nothing above a pivot is touched; only the nonzero
+    entries right of the pivot are used.  The input rows are not modified.
+    """
+    m = [list(r) for r in rows]
+    zero = field.zero
+    ncols = len(m[0]) if m else 0
+    rk = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rk, len(m)) if m[i][c] != zero), None)
+        if pivot is None:
+            continue
+        m[rk], m[pivot] = m[pivot], m[rk]
+        top = m[rk]
+        inv = field.inv(top[c])
+        tail = [(j, top[j]) for j in range(c + 1, ncols) if top[j] != zero]
+        for i in range(rk + 1, len(m)):
+            row = m[i]
+            if row[c] == zero:
+                continue
+            f = field.mul(row[c], inv)
+            for j, y in tail:
+                row[j] = field.sub(row[j], field.mul(f, y))
+        rk += 1
+        if rk == len(m):
+            break
+    return rk
 
 
 def kernel_basis(field, rows, ncols):

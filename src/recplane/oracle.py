@@ -2,9 +2,10 @@
 
 Everything here checks the relation-polynomial presentations from first
 principles: direct substitution into the localized differential ring, kernels
-by elimination and by syzygy preimages, brute-force point counts over finite
-fields, and Hilbert dimensions computed two unrelated ways.  No check trusts
-the construction it is checking.
+by elimination and by syzygy preimages, point counts over finite fields by
+an enumeration that drops a partial point at the first kernel generator not
+vanishing on it, and Hilbert dimensions computed two unrelated ways.  No
+check trusts the construction it is checking.
 """
 
 from __future__ import annotations
@@ -118,15 +119,6 @@ class LocalizedOmega:
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
-    def with_denominator(self, zs, n_target: int) -> "LocalizedOmega":
-        if n_target < self.den_exp:
-            raise ValueError("cannot lower the denominator exponent")
-        num = self.numerator
-        for z in zs:
-            for _ in range(n_target - self.den_exp):
-                num = num.poly_mul(z)
-        return LocalizedOmega(num, n_target)
-
     def __str__(self):
         return f"({self.numerator}) / (z1..zm)^{self.den_exp}"
 
@@ -170,8 +162,8 @@ def wedge_expand(field, rows, labels):
     return acc
 
 
-def _substitute(arr: Arrangement, flat, ring: PolyRing,
-                entries: dict) -> LocalizedOmega:
+def _substitute(arr: Arrangement, flat, ring: PolyRing, entries: dict,
+                min_den: int = 0) -> LocalizedOmega:
     """The one substitution core behind eval_h, eval_psi and eval_chart.
 
     Off the flat t_i -> 1/z_i(x) and u_i -> dz_i(x)/z_i(x); on it
@@ -179,7 +171,7 @@ def _substitute(arr: Arrangement, flat, ring: PolyRing,
     tuples to polynomials of `ring`, whose variables are t_i off the flat
     and z_j on it; each ring variable is resolved to its form once per
     call.  Every term is put over the common denominator, a power of the
-    product of the off-flat forms.
+    product of the off-flat forms, with exponent at least `min_den`.
     """
     field = arr.field
     target = x_ring(arr)
@@ -189,7 +181,7 @@ def _substitute(arr: Arrangement, flat, ring: PolyRing,
            for i in range(1, arr.m + 1) if i not in flat]
     on = [(zs[j - 1], ring.rank_of(f"z{j}")) for j in sorted(flat)]
     pieces = []
-    n_common = 0
+    n_common = min_den
     for s, p in entries.items():
         terms = []
         for m, c in p._d.items():
@@ -702,6 +694,36 @@ def _evaluate_at(poly: Polynomial, point) -> bool:
     return total == field.zero
 
 
+def _vanishing_count(field, m: int, gens) -> int:
+    """Points of F_p^m at which every polynomial of `gens` vanishes.
+
+    The points are enumerated coordinate by coordinate (coordinate k is the
+    variable of rank k + 1), and each polynomial is tested as soon as its
+    last variable has a value, so a partial point is dropped at the first
+    polynomial that does not vanish on it.
+    """
+    due = [[] for _ in range(m)]
+    for g in gens:
+        last = max((rank for mono in g._d for rank, _ in mono), default=0)
+        if last:
+            due[last - 1].append(g)
+        elif not g.is_zero():
+            return 0  # a nonzero constant vanishes nowhere
+    point = [field.zero] * m
+
+    def extend(k: int) -> int:
+        if k == m:
+            return 1
+        total = 0
+        for v in field.elements():
+            point[k] = v
+            if all(_evaluate_at(g, point) for g in due[k]):
+                total += extend(k + 1)
+        return total
+
+    return extend(0)
+
+
 def count_points(arr: Arrangement, caps: Caps | None = None) -> Report:
     """Points of the vanishing locus versus the per-flat stratification sum."""
     caps = caps or Caps()
@@ -710,11 +732,7 @@ def count_points(arr: Arrangement, caps: Caps | None = None) -> Report:
     field = arr.field
     p = field.char
     caps.check("point enumeration", p ** arr.m, caps.points)
-    igens = _instance_kernel(arr)
-    lhs = 0
-    for point in field_points(field, arr.m):
-        if all(_evaluate_at(g, point) for g in igens):
-            lhs += 1
+    lhs = _vanishing_count(field, arr.m, _instance_kernel(arr))
     per_flat = []
     rhs = 0
     for f in flats(arr, caps):
@@ -799,24 +817,27 @@ def hilbert(arr: Arrangement, super: bool = False, max_degree: int = 10):
     return {"standard": table_a, "rank": table_b}
 
 
-def _rank_dimension(arr: Arrangement, super: bool, deg: int) -> int:
-    """Rank of the images of all monomials of topological degree `deg`:
-    u_B t^a under psi, or t^a under h when not `super`."""
+def _rank_images(arr: Arrangement, super: bool, deg: int):
+    """Images of all monomials of topological degree `deg`, u_B t^a under
+    psi (t^a under h when not `super`), over one shared denominator."""
     ring = t_ring(arr)
-    images = []
-    for r, B in _exterior_labels(arr, super, deg):
+    labels = list(_exterior_labels(arr, super, deg))
+    # t_i^a u_B with i in B needs z_i^(a+1): the largest exponent any image
+    # of this degree needs, so every image is built over it at once
+    den = max(((deg - r) // 2 + (r > 0) for r, _ in labels), default=0)
+    for r, B in labels:
         for m in _t_monomials_of_degree(ring, (deg - r) // 2):
             poly = Polynomial(ring, {m: arr.field.one})
-            images.append(eval_psi(arr, ExtElement(ring, {B: poly})) if super
-                          else eval_h(arr, poly))
-    max_den = max((img.den_exp for img in images), default=0)
-    zs = z_polynomials(arr)
+            yield _substitute(arr, (), ring, {B: poly}, den)
+
+
+def _rank_dimension(arr: Arrangement, super: bool, deg: int) -> int:
+    """Rank of the `_rank_images` numerators as coefficient vectors."""
     cols: dict = {}
     vecs = []
-    for img in images:
+    for img in _rank_images(arr, super, deg):
         vec = {}
-        numerator = img.with_denominator(zs, max_den).numerator
-        for s, poly in numerator._entries.items():
+        for s, poly in img.numerator._entries.items():
             for mono, c in poly._d.items():
                 vec[cols.setdefault((s, mono), len(cols))] = c
         vecs.append(vec)

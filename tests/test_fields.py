@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from recplane.fields import (
     FieldError,
@@ -65,3 +66,35 @@ def test_bitmask_rank_matches_generic():
     f = PrimeField(2)
     rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]
     assert linalg.matrix_rank(f, rows) == linalg.rank(f, rows) == 3
+
+
+
+RANK_FIELDS = (PrimeField(2), PrimeField(5), RationalField())
+
+
+@st.composite
+def matrices(draw):
+    field = draw(st.sampled_from(RANK_FIELDS))
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.integers(-3, 3).map(field.from_int)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return field, draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+Q_ROWS = [[Fraction(x) for x in row]
+          for row in ([1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 0, 1, 1, 1])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@example((PrimeField(5), []))  # empty
+@example((PrimeField(5), [[], []]))  # no columns
+@example((RationalField(), [[Fraction(0)] * 4] * 3))  # all zero
+@example((RationalField(), Q_ROWS))  # wide
+@example((RationalField(), [list(col) for col in zip(*Q_ROWS)]))  # tall
+@example((PrimeField(2), [[1, 1, 0, 1, 0, 1, 1]] * 2 + [[0, 1, 1, 0, 1, 0, 1]]))
+def test_forward_elimination_rank_matches_rref(matrix):
+    field, rows = matrix
+    before = [list(row) for row in rows]
+    assert linalg.rank(field, rows) == len(linalg.rref(field, rows)[1])
+    assert rows == before

@@ -1,10 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recplane.arrangement import Arrangement, circuits, closure, flats
 from recplane.caps import Caps, CapExceeded
 from recplane.fields import PrimeField, RationalField
+from recplane.oracle import _evaluate_at, _rank_images, _vanishing_count
 from recplane.groebner import ideal_equal, is_groebner
 from recplane.modules import is_module_groebner, module_groebner, module_normal_form
 from recplane.oracle import (
@@ -32,6 +34,7 @@ from recplane.superalg import ExtElement, parse_ext
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 Q = RationalField()
 
 
@@ -373,6 +376,42 @@ def test_count_points_cap(four_cycle):
         count_points(four_cycle, Caps(points=8))
 
 
+def _brute_force_count(field, m, gens):
+    """Every point of F_p^m, every generator at every point."""
+    return sum(
+        all(_evaluate_at(g, point) for g in gens)
+        for point in itertools.product(range(field.char), repeat=m)
+    )
+
+
+@st.composite
+def small_fp_arrangements(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).filter(any)
+    return Arrangement(PrimeField(p), n, draw(st.lists(vec, max_size=4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_fp_arrangements())
+def test_count_points_matches_brute_force(arr):
+    rep = count_points(arr)
+    assert rep.details["lhs"] == _brute_force_count(arr.field, arr.m,
+                                                     kernel_I(arr))
+    assert rep.ok
+
+
+def test_vanishing_count_constants_and_no_coordinates():
+    ring = t_ring(Arrangement(F3, 1, [[1], [2]]))
+    assert _vanishing_count(F3, 2, []) == 9
+    assert _vanishing_count(F3, 2, [ring.zero()]) == 9
+    assert _vanishing_count(F3, 2, [ring.parse("t1 - t2"), ring.one()]) == 0
+    assert _vanishing_count(F3, 2, [ring.parse("t1*t2 - 1")]) == 2
+    assert _vanishing_count(F3, 0, []) == 1
+    assert _vanishing_count(F3, 0, [ring.one()]) == 0
+    assert count_points(Arrangement(F3, 2, [])).details["lhs"] == 1
+
+
 # -- Hilbert tables ---------------------------------------------------------------
 
 
@@ -402,6 +441,44 @@ def test_hilbert_super_agreement(triangle_q, triangle_f2):
     for arr in (triangle_q, triangle_f2):
         tables = hilbert(arr, super=True, max_degree=8)
         assert tables["standard"] == tables["rank"]
+
+
+def _braid_a3(field):
+    return Arrangement(field, 4, [
+        [1 if k == i else -1 if k == j else 0 for k in range(4)]
+        for i, j in itertools.combinations(range(4), 2)
+    ])
+
+
+@pytest.mark.parametrize("field, deg, super", [
+    (F5, 4, False), (F5, 4, True), (Q, 3, True),
+])
+def test_rank_images_match_eval_over_the_largest_denominator(field, deg, super):
+    """Each image built at the shared exponent equals the eval_h / eval_psi
+    image with its numerator multiplied by the missing z_i powers, and the
+    shared exponent is the largest one those images need."""
+    from recplane.oracle import _exterior_labels, _t_monomials_of_degree
+    from recplane.oracle import z_polynomials
+
+    arr = _braid_a3(field)
+    ring = t_ring(arr)
+    zs = z_polynomials(arr)
+    old = []
+    for r, B in _exterior_labels(arr, super, deg):
+        for m in _t_monomials_of_degree(ring, (deg - r) // 2):
+            poly = ring.poly({m: field.one})
+            old.append(eval_psi(arr, ExtElement(ring, {B: poly})) if super
+                       else eval_h(arr, poly))
+    new = list(_rank_images(arr, super, deg))
+    assert len(new) == len(old) > 0
+    den = max(img.den_exp for img in old)
+    for got, want in zip(new, old):
+        assert got.den_exp == den
+        numerator = want.numerator
+        for z in zs:
+            for _ in range(den - want.den_exp):
+                numerator = numerator.poly_mul(z)
+        assert got.numerator == numerator
 
 
 # -- charts ------------------------------------------------------------------------
