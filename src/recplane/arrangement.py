@@ -296,14 +296,16 @@ def relations_for(arr: Arrangement, mode: str, caps: Caps | None = None):
 
 
 def closure(arr: Arrangement, indices) -> Flat:
-    """The flat of all forms lying in the span of the given ones."""
-    base = [list(arr.form(i)) for i in sorted(set(indices))]
-    r = linalg.rank(arr.field, base)
-    members = []
-    for j in range(1, arr.m + 1):
-        if linalg.rank(arr.field, base + [list(arr.form(j))]) == r:
-            members.append(j)
-    return Flat(tuple(members), r)
+    """The flat of all forms lying in the span of the given ones.
+
+    The given forms are brought to echelon form once; each form is then
+    reduced against it.
+    """
+    field = arr.field
+    pivots = linalg.echelon(field, [arr.form(i) for i in sorted(set(indices))])
+    members = tuple(j for j in range(1, arr.m + 1)
+                    if linalg.in_row_space(field, pivots, arr.form(j)))
+    return Flat(members, len(pivots))
 
 
 def flats(arr: Arrangement, caps: Caps | None = None):

@@ -117,11 +117,13 @@ def caps_from_args(args) -> Caps:
     return Caps(**vals)
 
 
-def emit(args, payload: dict, text_lines) -> None:
+def emit(args, payload, text_lines) -> None:
+    """Print the JSON payload or the text lines; each is a callable that
+    builds its form, so only the form asked for is built."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -145,21 +147,21 @@ def run(argv=None) -> int:
 
     if args.command == "circuits":
         cs = circuits(arr)
-        payload = {"circuits": [c.to_json(arr.field) for c in cs]}
-        lines = [f"circuits: {len(cs)}"] + [
-            f"  {list(c.support)} coeffs {[arr.field.fmt(a) for a in c.coeffs]}"
-            for c in cs
-        ]
-        emit(args, payload, lines)
+        emit(args, lambda: {"circuits": [c.to_json(arr.field) for c in cs]},
+             lambda: [f"circuits: {len(cs)}"] + [
+                 f"  {list(c.support)} coeffs "
+                 f"{[arr.field.fmt(a) for a in c.coeffs]}"
+                 for c in cs
+             ])
         return EXIT_PASS
 
     if args.command == "flats":
         fl = flats(arr, caps)
-        payload = {"flats": [f.to_json() for f in fl]}
-        lines = [f"flats: {len(fl)}"] + [
-            f"  {list(f.indices)} quotient_dim {f.quotient_dim}" for f in fl
-        ]
-        emit(args, payload, lines)
+        emit(args, lambda: {"flats": [f.to_json() for f in fl]},
+             lambda: [f"flats: {len(fl)}"] + [
+                 f"  {list(f.indices)} quotient_dim {f.quotient_dim}"
+                 for f in fl
+             ])
         return EXIT_PASS
 
     if args.command == "presentation":
@@ -168,29 +170,17 @@ def run(argv=None) -> int:
             if args.super
             else commutative_generators(arr, args.mode, caps)
         )
-        emit(args, pres.to_json(), pres.to_text().splitlines())
+        emit(args, pres.to_json, lambda: pres.to_text().splitlines())
         return EXIT_PASS
 
     if args.command == "points":
         rep = count_points(arr, caps)
-        lines = [f"lhs={rep.details['lhs']} rhs={rep.details['rhs']} {rep.status}"]
-        for row in rep.details["per_flat"]:
-            lines.append(f"  flat {row['flat']}: {row['count']}")
-        emit(args, rep.to_json(), lines)
+        emit(args, rep.to_json, lambda: _points_lines(rep))
         return EXIT_PASS if rep.ok else EXIT_FAIL
 
     if args.command == "verify":
         rep = _run_check(arr, args, caps)
-        lines = [f"{rep.check}: {rep.status}"]
-        if rep.check == "stratification":
-            lines.append(f"  lhs={rep.details['lhs']} rhs={rep.details['rhs']}")
-        for key, val in sorted(rep.details.items()):
-            if key in ("lhs", "rhs", "per_flat"):
-                continue
-            lines.append(f"  {key}: {val}")
-        for w in rep.witnesses:
-            lines.append(f"  witness: {w}")
-        emit(args, rep.to_json(), lines)
+        emit(args, rep.to_json, lambda: _report_lines(rep))
         return EXIT_PASS if rep.ok else EXIT_FAIL
 
     if args.command == "hilbert":
@@ -198,18 +188,11 @@ def run(argv=None) -> int:
             raise SpecError("--max-degree must be nonnegative")
         tables = hilbert(arr, super=args.super, max_degree=args.max_degree)
         agree = tables["standard"] == tables["rank"]
-        payload = {
+        emit(args, lambda: {
             "standard": {str(k): v for k, v in tables["standard"].items()},
             "rank": {str(k): v for k, v in tables["rank"].items()},
             "agree": agree,
-        }
-        lines = ["degree standard rank"]
-        for d in sorted(tables["standard"]):
-            lines.append(
-                f"{d:6d} {tables['standard'][d]:8d} {tables['rank'][d]:4d}"
-            )
-        lines.append(f"agree: {agree}")
-        emit(args, payload, lines)
+        }, lambda: _hilbert_lines(tables, agree))
         return EXIT_PASS if agree else EXIT_FAIL
 
     if args.command == "charts":
@@ -218,18 +201,50 @@ def run(argv=None) -> int:
         else:
             target = flats(arr, caps)
         invert = _parse_indices(args.invert)
-        payload = {"charts": []}
-        lines = []
-        for f in target:
-            ch = chart_ring(arr, f, invert=tuple(i for i in invert
-                                                 if i in set(f.indices)),
-                            super=args.super)
-            payload["charts"].append(ch.to_json())
-            lines.extend(ch.to_text().splitlines())
-        emit(args, payload, lines)
+
+        def charts():
+            # one chart at a time: only its rendered form is kept
+            for f in target:
+                yield chart_ring(arr, f, invert=tuple(i for i in invert
+                                                      if i in set(f.indices)),
+                                 super=args.super)
+
+        emit(args, lambda: {"charts": [ch.to_json() for ch in charts()]},
+             lambda: [line for ch in charts()
+                      for line in ch.to_text().splitlines()])
         return EXIT_PASS
 
     raise AssertionError(f"unhandled command {args.command}")
+
+
+def _points_lines(rep):
+    lines = [f"lhs={rep.details['lhs']} rhs={rep.details['rhs']} {rep.status}"]
+    for row in rep.details["per_flat"]:
+        lines.append(f"  flat {row['flat']}: {row['count']}")
+    return lines
+
+
+def _report_lines(rep):
+    lines = [f"{rep.check}: {rep.status}"]
+    if rep.check == "stratification":
+        lines.append(f"  lhs={rep.details['lhs']} rhs={rep.details['rhs']}")
+    for key, val in sorted(rep.details.items()):
+        if key in ("lhs", "rhs", "per_flat"):
+            continue
+        lines.append(f"  {key}: {val}")
+    for w in rep.witnesses:
+        lines.append(f"  witness: {w}")
+    return lines
+
+
+def _hilbert_lines(tables, agree):
+    lines = ["degree standard rank"]
+    for d in sorted(tables["standard"]):
+        lines.append(
+            f"{d:6d} {tables['standard'][d]:8d} {tables['rank'][d]:4d}"
+        )
+    lines.append(f"agree: {agree}")
+    return lines
 
 
 def _run_check(arr, args, caps):

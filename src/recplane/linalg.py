@@ -2,8 +2,10 @@
 
 Matrices are lists of row lists of field scalars.  Everything here is plain
 Gaussian elimination; sizes stay tiny except for the Hilbert rank oracle,
-which gets a bitmask fast path over F_2.  `rank` uses forward elimination
-only; `rref` (full reduction) serves `kernel_basis` and `solve_combination`.
+which gets a bitmask fast path over F_2.  `echelon` is forward elimination
+only; it gives `rank`, and with `in_row_space` tests many vectors against
+one row space.  `rref` (full reduction) serves `kernel_basis` and
+`solve_combination`.
 """
 
 from __future__ import annotations
@@ -35,17 +37,22 @@ def rref(field, rows):
     return m, pivots
 
 
-def rank(field, rows) -> int:
-    """Rank by forward elimination: each pivot clears the rows below it.
+def echelon(field, rows):
+    """Row echelon form by forward elimination: each pivot clears the rows
+    below it.
 
-    No row is scaled and nothing above a pivot is touched; only the nonzero
+    Returns one (pivot column, inverse of the pivot, row) triple per pivot,
+    by increasing column.  A row counts from its pivot on: the entries left
+    of it were eliminated, but are not overwritten, and are never read.  No
+    row is scaled and nothing above a pivot is touched; only the nonzero
     entries right of the pivot are used.  The input rows are not modified.
     """
     m = [list(r) for r in rows]
     zero = field.zero
     ncols = len(m[0]) if m else 0
-    rk = 0
+    out = []
     for c in range(ncols):
+        rk = len(out)
         pivot = next((i for i in range(rk, len(m)) if m[i][c] != zero), None)
         if pivot is None:
             continue
@@ -60,10 +67,29 @@ def rank(field, rows) -> int:
             f = field.mul(row[c], inv)
             for j, y in tail:
                 row[j] = field.sub(row[j], field.mul(f, y))
-        rk += 1
-        if rk == len(m):
+        out.append((c, inv, top))
+        if len(out) == len(m):
             break
-    return rk
+    return out
+
+
+def rank(field, rows) -> int:
+    """Rank by forward elimination (`echelon`)."""
+    return len(echelon(field, rows))
+
+
+def in_row_space(field, pivots, vec) -> bool:
+    """True when `vec` is a combination of the rows of `echelon` output
+    `pivots`: it is reduced by each pivot row in turn and must vanish."""
+    v = list(vec)
+    zero = field.zero
+    for c, inv, row in pivots:
+        if v[c] != zero:
+            f = field.mul(v[c], inv)
+            for j in range(c, len(v)):
+                if row[j] != zero:
+                    v[j] = field.sub(v[j], field.mul(f, row[j]))
+    return all(x == zero for x in v)
 
 
 def kernel_basis(field, rows, ncols):

@@ -6,6 +6,11 @@ by elimination and by syzygy preimages, point counts over finite fields by
 an enumeration that drops a partial point at the first kernel generator not
 vanishing on it, and Hilbert dimensions computed two unrelated ways.  No
 check trusts the construction it is checking.
+
+The substitutions of one call group (one degree of the `hilbert` rank step,
+or one `verify_charts` call) share the forms, the dz expansions and the
+products of form powers built so far.  That state lives only as long as
+the call; it is not kept in the instance context, to bound peak memory.
 """
 
 from __future__ import annotations
@@ -123,14 +128,6 @@ class LocalizedOmega:
         return f"({self.numerator}) / (z1..zm)^{self.den_exp}"
 
 
-def _pow_cached(cache, z, k):
-    have = cache.setdefault(id(z), {0: z.ring.one(), 1: z})
-    while k not in have:
-        top = max(have)
-        have[top + 1] = have[top] * z
-    return have[k]
-
-
 def wedge_expand(field, rows, labels):
     """Expansion of a wedge of covectors in the coordinate exterior basis.
 
@@ -162,72 +159,149 @@ def wedge_expand(field, rows, labels):
     return acc
 
 
-def _substitute(arr: Arrangement, flat, ring: PolyRing, entries: dict,
-                min_den: int = 0) -> LocalizedOmega:
+class _SharedSubstitution:
+    """What the substitutions of one call group share.
+
+    A call group is one degree of the `hilbert` rank step or one
+    `verify_charts` call.  It shares the forms as x-polynomials, the wedge
+    expansion of each exterior label, and the products of form powers built
+    so far.  The caller makes it and drops it with the call; it is not kept
+    in the instance context, where the products of a whole instance would
+    raise the peak memory.
+
+    `unkept` products at the head of each product's suffix chain are not
+    kept (see `product`).  The rank step sets it to 2: the exponents of its
+    images of one exterior label have one sum, so an image's product and
+    the product of its rest each belong to that image alone.
+    """
+
+    __slots__ = ("arr", "target", "forms", "x_labels", "expansions",
+                 "products", "unkept")
+
+    def __init__(self, arr: Arrangement, unkept: int = 0):
+        self.arr = arr
+        self.target = x_ring(arr)
+        self.forms = z_polynomials(arr)
+        self.x_labels = tuple(range(1, arr.n + 1))
+        self.expansions: dict = {}
+        self.products: dict = {(0,) * arr.m: self.target.one()}
+        self.unkept = unkept
+
+    def expansion(self, s):
+        """dz_s expanded in the dx basis."""
+        got = self.expansions.get(s)
+        if got is None:
+            rows = [self.arr.form(i) for i in s]
+            got = self.expansions[s] = wedge_expand(self.arr.field, rows,
+                                                    self.x_labels)
+        return got
+
+    def product(self, exps, unkept: int = 0) -> Polynomial:
+        """z_1^exps[0] * ... * z_m^exps[m-1].
+
+        The power of the first form with a nonzero exponent times the
+        product of the rest, both looked up here, so every suffix of a
+        product and every power of a form is memoized on the way.  The
+        first `unkept` products of that suffix chain, this one first, are
+        built but not kept.
+        """
+        got = self.products.get(exps)
+        if got is None:
+            k = next(i for i, e in enumerate(exps) if e)
+            rest = (0,) * (k + 1) + exps[k + 1:]
+            if any(rest):
+                head = exps[:k + 1] + (0,) * (len(exps) - k - 1)
+                got = self.product(head) * self.product(rest,
+                                                        max(unkept - 1, 0))
+            else:
+                lower = exps[:k] + (exps[k] - 1,) + exps[k + 1:]
+                got = self.forms[k] * self.product(lower)
+            if not unkept:
+                self.products[exps] = got
+        return got
+
+
+def _substitute(shared: _SharedSubstitution, flat, ring: PolyRing,
+                entries: dict, min_den: int = 0) -> LocalizedOmega:
     """The one substitution core behind eval_h, eval_psi and eval_chart.
 
     Off the flat t_i -> 1/z_i(x) and u_i -> dz_i(x)/z_i(x); on it
     z_j -> z_j(x) and dz_j -> dz_j(x).  `entries` maps exterior index
     tuples to polynomials of `ring`, whose variables are t_i off the flat
-    and z_j on it; each ring variable is resolved to its form once per
-    call.  Every term is put over the common denominator, a power of the
-    product of the off-flat forms, with exponent at least `min_den`.
+    and z_j on it.  Every term is put over the common denominator, a power
+    of the product of the off-flat forms, with exponent at least `min_den`.
     """
-    field = arr.field
-    target = x_ring(arr)
-    zs = z_polynomials(arr)
-    x_labels = tuple(range(1, arr.n + 1))
-    off = [(zs[i - 1], i, ring.rank_of(f"t{i}"))
-           for i in range(1, arr.m + 1) if i not in flat]
-    on = [(zs[j - 1], ring.rank_of(f"z{j}")) for j in sorted(flat)]
+    field = shared.arr.field
+    m = shared.arr.m
+    off = [(i - 1, ring.rank_of(f"t{i}"))
+           for i in range(1, m + 1) if i not in flat]
+    on = [(j - 1, ring.rank_of(f"z{j}")) for j in sorted(flat)]
     pieces = []
     n_common = min_den
     for s, p in entries.items():
-        terms = []
-        for m, c in p._d.items():
-            exps = dict(m)
-            need = [exps.get(r, 0) + (i in s) for _, i, r in off]
+        for mono, c in p._d.items():
+            exps = dict(mono)
+            need = [exps.get(r, 0) + (k + 1 in s) for k, r in off]
             if need:
                 n_common = max(n_common, max(need))
-            terms.append((c, need, [exps.get(r, 0) for _, r in on]))
-        pieces.append((s, terms))
-    cache: dict = {}
+            pieces.append((s, c, need, exps))
     out: dict = {}
-    for s, terms in pieces:
-        expansion = wedge_expand(field, [arr.form(i) for i in s], x_labels)
-        for c, need, z_exps in terms:
-            prod = target.constant(c)
-            for (z, _, _), k in zip(off, need):
-                if n_common - k:
-                    prod = prod * _pow_cached(cache, z, n_common - k)
-            for (z, _), e in zip(on, z_exps):
-                if e:
-                    prod = prod * _pow_cached(cache, z, e)
-            for subset, coeff in expansion.items():
-                add = prod.scale(coeff)
-                got = out.get(subset)
-                out[subset] = add if got is None else got + add
-    return LocalizedOmega(ExtElement(target, out, DX), n_common)
+    for s, c, need, exps in pieces:
+        vec = [0] * m
+        for (k, _), e in zip(off, need):
+            vec[k] = n_common - e
+        for k, r in on:
+            vec[k] = exps.get(r, 0)
+        prod = shared.product(tuple(vec), shared.unkept)
+        for subset, coeff in shared.expansion(s).items():
+            out.setdefault(subset, []).append((field.mul(c, coeff), prod))
+    numerator = {s: _combination(field, terms) for s, terms in out.items()}
+    return LocalizedOmega(ExtElement(shared.target, numerator, DX), n_common)
+
+
+def _combination(field, terms) -> Polynomial:
+    """The sum of c * p over the (c, p) pairs of `terms`, built in place."""
+    c, p = terms[0]
+    if len(terms) == 1:
+        return p.scale(c)
+    if field.char == 2:
+        keys = set(p._d)
+        for _, p in terms[1:]:
+            keys.symmetric_difference_update(p._d)
+        return Polynomial(p.ring, dict.fromkeys(keys, 1))
+    zero = field.zero
+    acc: dict = {}
+    for c, p in terms:
+        for mono, x in p._d.items():
+            got = field.add(acc.get(mono, zero), field.mul(c, x))
+            if got == zero:
+                del acc[mono]
+            else:
+                acc[mono] = got
+    return Polynomial(p.ring, acc)
 
 
 def eval_h(arr: Arrangement, f: Polynomial) -> LocalizedOmega:
     """Substitute t_i -> 1/z_i and clear to the common denominator."""
-    return _substitute(arr, (), f.ring, {(): f})
+    return _substitute(_SharedSubstitution(arr), (), f.ring, {(): f})
 
 
 def eval_psi(arr: Arrangement, xi: ExtElement) -> LocalizedOmega:
     """Substitute t_i -> 1/z_i, u_i -> dz_i/z_i; expand dz into dx."""
-    return _substitute(arr, (), xi.ring, xi._entries)
+    return _substitute(_SharedSubstitution(arr), (), xi.ring, xi._entries)
 
 
-def eval_chart(arr: Arrangement, flat: Flat, element) -> LocalizedOmega:
+def eval_chart(arr: Arrangement, flat: Flat, element,
+               shared: _SharedSubstitution | None = None) -> LocalizedOmega:
     """Direct substitution of a chart element into the localized target.
 
     t_i -> 1/z_i(x), u_i -> dz_i(x)/z_i(x) outside the flat; z_j -> z_j(x),
-    dz_j -> dz_j(x) on it.  Only the outside forms are inverted.
+    dz_j -> dz_j(x) on it.  Only the outside forms are inverted.  `shared`
+    is the state of the caller's call group, made anew when not given.
     """
     entries = {(): element} if isinstance(element, Polynomial) else element._entries
-    return _substitute(arr, flat.indices, element.ring, entries)
+    return _substitute(shared or _SharedSubstitution(arr), flat.indices,
+                       element.ring, entries)
 
 
 # -- kernels from first principles ---------------------------------------------
@@ -825,10 +899,11 @@ def _rank_images(arr: Arrangement, super: bool, deg: int):
     # t_i^a u_B with i in B needs z_i^(a+1): the largest exponent any image
     # of this degree needs, so every image is built over it at once
     den = max(((deg - r) // 2 + (r > 0) for r, _ in labels), default=0)
+    shared = _SharedSubstitution(arr, unkept=2)
     for r, B in labels:
         for m in _t_monomials_of_degree(ring, (deg - r) // 2):
             poly = Polynomial(ring, {m: arr.field.one})
-            yield _substitute(arr, (), ring, {B: poly}, den)
+            yield _substitute(shared, (), ring, {B: poly}, den)
 
 
 def _rank_dimension(arr: Arrangement, super: bool, deg: int) -> int:
@@ -888,6 +963,7 @@ def verify_charts(arr: Arrangement, caps: Caps | None = None,
     label = instance_label(arr)
     witnesses = []
     count = 0
+    shared = _SharedSubstitution(arr)
     for f in flats(arr, caps):
         count += 1
         chart = chart_ring(arr, f)
@@ -902,7 +978,7 @@ def verify_charts(arr: Arrangement, caps: Caps | None = None,
             for g in sup.generators:
                 if g.element.is_zero():
                     continue
-                if not eval_chart(arr, f, g.element).is_zero():
+                if not eval_chart(arr, f, g.element, shared).is_zero():
                     witnesses.append({"flat": list(f.indices),
                                       "super_generator": str(g.element)})
     status = "pass" if not witnesses else "fail"

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recplane.arrangement import (
     Arrangement,
@@ -15,6 +16,7 @@ from recplane.arrangement import (
 )
 from recplane.caps import Caps, CapExceeded
 from recplane.fields import PrimeField, RationalField
+from recplane import linalg
 
 F2 = PrimeField(2)
 Q = RationalField()
@@ -98,6 +100,33 @@ def test_closure_examples(triangle_f2, four_cycle):
     assert closure(triangle_f2, ()).quotient_dim == 0
     assert closure(triangle_f2, (1, 2)).indices == (1, 2, 3)
     assert closure(four_cycle, (1,)).indices == (1,)
+
+
+@st.composite
+def arrangements_and_subsets(draw):
+    field = draw(st.sampled_from((PrimeField(2), PrimeField(5), Q)))
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2).map(field.from_int)
+    form = st.lists(entry, min_size=n, max_size=n).filter(
+        lambda row: any(x != field.zero for x in row))
+    arr = Arrangement(field, n, draw(st.lists(form, max_size=5)))
+    subset = draw(st.sets(st.integers(1, arr.m))) if arr.m else set()
+    return arr, subset
+
+
+@settings(max_examples=120, deadline=None)
+@given(arrangements_and_subsets())
+def test_closure_matches_the_rank_definition(case):
+    """A form lies in the closure exactly when adding it to the given forms
+    leaves their rank unchanged; the quotient dimension is that rank."""
+    arr, subset = case
+    base = [list(arr.form(i)) for i in sorted(subset)]
+    r = linalg.rank(arr.field, base)
+    want = tuple(j for j in range(1, arr.m + 1)
+                 if linalg.rank(arr.field, base + [list(arr.form(j))]) == r)
+    got = closure(arr, subset)
+    assert got.indices == want
+    assert got.quotient_dim == r
 
 
 def test_closure_idempotent_monotone(four_cycle):

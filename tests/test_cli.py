@@ -130,6 +130,27 @@ def test_charts_super_golden(specs, capsys):
     assert out == golden("charts_super_e3.json")
 
 
+def test_charts_build_only_the_form_printed(specs, capsys, monkeypatch):
+    """Under --format json no chart text is built, and under text no chart
+    JSON; the output is the golden one either way."""
+    from recplane.relations import ChartRing
+
+    def refuse(self):
+        raise AssertionError("built a form that is not printed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ChartRing, "to_text", refuse)
+        code, out, _ = run_cli(capsys, "--format", "json", "charts",
+                               "--super", specs["E3"])
+    assert code == 0
+    assert out == golden("charts_super_e3.json")
+    with monkeypatch.context() as patch:
+        patch.setattr(ChartRing, "to_json", refuse)
+        code, out, _ = run_cli(capsys, "charts", "--super", specs["E3"])
+    assert code == 0
+    assert out == golden("charts_super_e3.txt")
+
+
 def test_hilbert_super_golden(specs, capsys):
     code, out, _ = run_cli(capsys, "hilbert", "--super", "--max-degree", "4",
                            specs["E1"])

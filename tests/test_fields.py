@@ -98,3 +98,29 @@ def test_forward_elimination_rank_matches_rref(matrix):
     before = [list(row) for row in rows]
     assert linalg.rank(field, rows) == len(linalg.rref(field, rows)[1])
     assert rows == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_echelon_rows_and_row_space_membership(matrix, data):
+    """`echelon` gives one row per unit of rank, with ascending pivots; a
+    vector is in the row space exactly when it adds no rank."""
+    field, rows = matrix
+    pivots = linalg.echelon(field, rows)
+    assert len(pivots) == linalg.rank(field, rows)
+    cols = [c for c, _, _ in pivots]
+    assert cols == sorted(set(cols))
+    for c, inv, row in pivots:
+        assert field.mul(inv, row[c]) == field.one
+    if not rows:
+        return
+    ncols = len(rows[0])
+    vec = data.draw(st.lists(st.integers(-3, 3).map(field.from_int),
+                             min_size=ncols, max_size=ncols))
+    combo = [field.zero] * ncols
+    for row in rows:
+        k = field.from_int(data.draw(st.integers(-2, 2)))
+        combo = [field.add(a, field.mul(k, b)) for a, b in zip(combo, row)]
+    assert linalg.in_row_space(field, pivots, combo)
+    assert linalg.in_row_space(field, pivots, vec) == (
+        linalg.rank(field, rows + [vec]) == len(pivots))

@@ -481,6 +481,56 @@ def test_rank_images_match_eval_over_the_largest_denominator(field, deg, super):
         assert got.numerator == numerator
 
 
+@st.composite
+def exponent_vectors(draw):
+    field = draw(st.sampled_from((F2, F5, Q)))
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2).map(field.from_int)
+    form = st.lists(entry, min_size=n, max_size=n).filter(
+        lambda row: any(x != field.zero for x in row))
+    forms = draw(st.lists(form, min_size=1, max_size=4))
+    vector = st.tuples(*[st.integers(0, 3)] * len(forms))
+    return Arrangement(field, n, forms), draw(st.lists(vector, min_size=1,
+                                                       max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponent_vectors())
+def test_shared_product_equals_the_plain_product(case):
+    """The memoized products of one call group, kept or not, equal the
+    left-to-right products of the form powers."""
+    from recplane.oracle import _SharedSubstitution, z_polynomials
+
+    arr, vectors = case
+    zs = z_polynomials(arr)
+    groups = [_SharedSubstitution(arr, unkept) for unkept in (0, 1, 2)]
+    for exps in vectors:
+        want = zs[0].ring.one()
+        for z, k in zip(zs, exps):
+            want = want * z.pow(k)
+        for shared in groups:
+            assert shared.product(exps, shared.unkept) == want
+
+
+def test_call_groups_leave_no_state_in_the_instance_context(four_cycle):
+    """hilbert and verify_charts drop their products with the call: the
+    instance context keeps its slots and holds no x-polynomial."""
+    from recplane.context import InstanceContext, instance_context
+    from recplane.oracle import x_ring
+
+    slots = ("arrangement", "kernel", "presentations", "odd_relations",
+             "dz_expansions")
+    assert hilbert(four_cycle, super=True, max_degree=4)["rank"]
+    assert verify_charts(four_cycle).ok
+    assert InstanceContext.__slots__ == slots
+    ctx = instance_context(four_cycle)
+    xr = x_ring(four_cycle)
+    for name in slots[1:]:
+        held = getattr(ctx, name)
+        values = held.values() if isinstance(held, dict) else held
+        assert not any(getattr(v, "ring", None) == xr for v in values)
+
+
 # -- charts ------------------------------------------------------------------------
 
 
@@ -505,6 +555,36 @@ def test_verify_charts(four_cycle, triangle_f2, triangle_q):
     for arr in (triangle_f2, triangle_q, four_cycle):
         rep = verify_charts(arr)
         assert rep.ok, rep.witnesses
+
+
+def test_verify_charts_reports_a_failing_super_generator(monkeypatch,
+                                                        four_cycle):
+    """A super chart generator whose image is not zero fails the check and is
+    named in a witness: a bare u_i off the flat maps to dz_i/z_i."""
+    import dataclasses
+
+    import recplane.oracle as oracle
+    from recplane.relations import GeneratorRecord
+
+    real = oracle.chart_ring
+    bad_flat = (1,)
+    added = []
+
+    def with_extra(arr, f, *args, **kwargs):
+        chart = real(arr, f, *args, **kwargs)
+        if not (kwargs.get("super") and f.indices == bad_flat):
+            return chart
+        u2 = ExtElement.generator(chart.ring, 2, frozenset(bad_flat))
+        added.append(str(u2))
+        extra = GeneratorRecord(u2, chart.generators[0].relation, (2,))
+        return dataclasses.replace(
+            chart, generators=chart.generators + (extra,))
+
+    monkeypatch.setattr(oracle, "chart_ring", with_extra)
+    rep = verify_charts(four_cycle)
+    assert added == ["u2"]
+    assert rep.status == "fail"
+    assert rep.witnesses == [{"flat": [1], "super_generator": "u2"}]
 
 
 def test_eval_chart_kills_divided_generators(triangle_q):
