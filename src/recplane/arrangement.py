@@ -25,6 +25,21 @@ class SpecError(ValueError):
     """Malformed arrangement specification."""
 
 
+def _greedy_basis(field, rows) -> list:
+    """1-based positions of the rows that are not in the span of the rows
+    before them.
+
+    Each row is reduced once against the rows kept so far, which grow by
+    its remainder when it is kept.
+    """
+    kept = []
+    pivots = []
+    for i, row in enumerate(rows, start=1):
+        if linalg.extend_echelon(field, pivots, row):
+            kept.append(i)
+    return kept
+
+
 class Arrangement:
     """Nonzero linear forms over a field, with rank and a chosen basis."""
 
@@ -50,12 +65,7 @@ class Arrangement:
         self.names = tuple(names)
         if len(self.names) != len(self.forms):
             raise SpecError("names do not match the number of forms")
-        basis = []
-        basis_rows = []
-        for i, row in enumerate(self.forms, start=1):
-            if linalg.rank(field, basis_rows + [list(row)]) > len(basis_rows):
-                basis.append(i)
-                basis_rows.append(list(row))
+        basis = _greedy_basis(field, self.forms)
         self.rank = len(basis)
         self.basis_indices = tuple(basis)
         self._coords = None
@@ -328,11 +338,8 @@ def restrict_to_flat(arr: Arrangement, flat: Flat) -> Arrangement:
     """
     field = arr.field
     members = list(flat.indices)
-    basis_rows = []
-    for i in members:
-        row = list(arr.form(i))
-        if linalg.rank(field, basis_rows + [row]) > len(basis_rows):
-            basis_rows.append(row)
+    rows = [list(arr.form(i)) for i in members]
+    basis_rows = [rows[k - 1] for k in _greedy_basis(field, rows)]
     if len(basis_rows) != flat.quotient_dim:
         raise ValueError("flat is not closed")
     if not members:

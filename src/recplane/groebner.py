@@ -4,6 +4,23 @@ The completion uses the normal selection strategy (smallest lcm degree first,
 ties broken by input position) and returns a reduced basis: interreduced,
 monic, sorted by ascending leading monomial.  That canonical form is what
 makes golden tests and `ideal_equal` deterministic.
+
+Work saved on the way to that basis, none of which changes it:
+
+- the inputs are interreduced before the pair queue;
+- pairs with coprime leading monomials are never queued (Buchberger's first
+  criterion), and a queued pair is skipped by the chain criterion
+  (Buchberger 1979; Gebauer-Moeller 1988) once two pairs through a third
+  element whose leading monomial divides its lcm have been treated;
+- the `(lm, lc, g)` reducer list is built once per completion and grows
+  with the basis, instead of once per `normal_form` call;
+- `ideal_equal` returns at once when the two reduced bases are equal, since
+  a reduced basis is unique, and runs the normal-form containment only
+  when they differ.
+
+`is_groebner` applies no pair criterion, so it stays an independent check
+of the completion.  Nothing here comes from `modules`: the two engines are
+compared against each other.
 """
 
 from __future__ import annotations
@@ -21,10 +38,28 @@ from .polynomials import (
 )
 
 
-def normal_form(f: Polynomial, basis) -> Polynomial:
+def _reducers(basis) -> list:
+    """(lm, lc, g) of each nonzero element of `basis`, in order."""
+    return [(g.lm(), g.lc(), g) for g in basis if not g.is_zero()]
+
+
+def _keep(kept, reducers, r) -> None:
+    """Append monic `r` to a basis and to its reducer list."""
+    r = r.monic()
+    kept.append(r)
+    reducers.append((r.lm(), r.lc(), r))
+
+
+def normal_form(f: Polynomial, basis, reducers=None) -> Polynomial:
     """Remainder of f under division by `basis`; no term of the result is
-    divisible by any basis leading monomial."""
-    reducers = [(g.lm(), g.lc(), g) for g in basis if not g.is_zero()]
+    divisible by any basis leading monomial.
+
+    `reducers`, when given, is the `(lm, lc, g)` list of `basis` already
+    built (the completion keeps one and appends to it); `basis` is then not
+    read.
+    """
+    if reducers is None:
+        reducers = _reducers(basis)
     if not reducers:
         return f
     field = f.ring.field
@@ -67,58 +102,101 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return a - b
 
 
+def _chain_criterion(reducers, pending, i, j, lcm):
+    """Gebauer-Moeller chain criterion for the pair (i, j).
+
+    True when a third element k has lm(k) dividing lcm = lcm(lm(i), lm(j))
+    and neither (i, k) nor (j, k) is pending: S(i, j) is then a monomial
+    combination of S(i, k) and S(j, k), which were already treated.
+    """
+    for k, (lmk, _, _) in enumerate(reducers):
+        if k == i or k == j or not mono_divides(lmk, lcm):
+            continue
+        if ((min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending):
+            return True
+    return False
+
+
 def buchberger(gens) -> list:
-    """Raw completion: a (non-reduced) Groebner basis containing the inputs."""
+    """Raw completion: a (non-reduced) Groebner basis containing the inputs.
+
+    A pair is never queued when its leading monomials are coprime
+    (Buchberger's first criterion) and is skipped when the chain criterion
+    shows it redundant.  The `(lm, lc, g)` reducer list is built once and
+    grows with the basis.
+    """
     G = [g for g in gens if not g.is_zero()]
     if not G:
         return []
+    reducers = _reducers(G)
     heap = []
+    pending = set()
 
     def push_pairs(j):
-        lmj = G[j].lm()
+        lmj = reducers[j][0]
         for i in range(j):
-            lmi = G[i].lm()
+            lmi = reducers[i][0]
             lcm = mono_lcm(lmi, lmj)
             if lcm == mono_mul(lmi, lmj):
                 continue  # coprime leading monomials: S-pair reduces to zero
-            heapq.heappush(heap, (mono_degree(lcm), i, j))
+            heapq.heappush(heap, (mono_degree(lcm), i, j, lcm))
+            pending.add((i, j))
 
     for j in range(len(G)):
         push_pairs(j)
     while heap:
-        _, i, j = heapq.heappop(heap)
-        r = normal_form(s_polynomial(G[i], G[j]), G)
+        _, i, j, lcm = heapq.heappop(heap)
+        pending.discard((i, j))
+        if _chain_criterion(reducers, pending, i, j, lcm):
+            continue
+        r = normal_form(s_polynomial(G[i], G[j]), G, reducers)
         if not r.is_zero():
-            G.append(r.monic())
+            _keep(G, reducers, r)
             push_pairs(len(G) - 1)
     return G
 
 
 def reduce_basis(G) -> list:
-    """Minimal, interreduced, monic basis sorted by ascending leading monomial."""
-    G = [g for g in G if not g.is_zero()]
-    G.sort(key=lambda g: g.lm())
+    """Minimal, interreduced, monic basis sorted by ascending leading monomial.
+
+    Each minimal element is reduced only by the ones before it: a leading
+    monomial dividing one of its terms is no larger than that term, which
+    lies below its own leading monomial.
+    """
+    G = sorted((g for g in G if not g.is_zero()), key=lambda g: g.lm())
     minimal = []
     for g in G:
         if not any(mono_divides(h.lm(), g.lm()) for h in minimal):
             minimal.append(g)
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others)
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda g: g.lm())
+    reducers = []
+    for g in minimal:
+        _keep(reduced, reducers, normal_form(g, reduced, reducers))
     return reduced
 
 
 def groebner_ideal(gens) -> list:
-    """Reduced Groebner basis of the ideal generated by `gens`."""
-    return reduce_basis(buchberger(gens))
+    """Reduced Groebner basis of the ideal generated by `gens`.
+
+    The inputs are interreduced first, as in `modules.module_groebner`: in
+    ascending leading monomial, each is replaced by its monic normal form
+    modulo the ones kept so far, or dropped when that is zero.
+    """
+    kept, reducers = [], []
+    for g in sorted((g for g in gens if not g.is_zero()),
+                    key=lambda g: g.lm()):
+        r = normal_form(g, kept, reducers)
+        if not r.is_zero():
+            _keep(kept, reducers, r)
+    return reduce_basis(buchberger(kept))
 
 
 def is_groebner(G) -> bool:
-    """Buchberger criterion: every S-pair remainder reduces to zero."""
+    """Buchberger criterion: every S-pair remainder reduces to zero.
+
+    Every pair is reduced, with no pair criterion.
+    """
     G = [g for g in G if not g.is_zero()]
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
@@ -152,13 +230,19 @@ def eliminate(gens, drop_vars, subring=None) -> list:
 
 
 def ideal_equal(A, B) -> bool:
-    """Mutual containment via normal forms against each side's basis."""
+    """Equal reduced bases, or else mutual containment via normal forms.
+
+    A reduced basis is unique, so equal bases settle the question; the
+    normal-form containment runs only when they differ.
+    """
     nonzero_a = [a for a in A if not a.is_zero()]
     nonzero_b = [b for b in B if not b.is_zero()]
     if nonzero_a and nonzero_b and nonzero_a[0].ring != nonzero_b[0].ring:
         raise RingError("ideal generators from different rings")
     ga = groebner_ideal(nonzero_a)
     gb = groebner_ideal(nonzero_b)
+    if ga == gb:
+        return True
     return all(normal_form(b, ga).is_zero() for b in nonzero_b) and all(
         normal_form(a, gb).is_zero() for a in nonzero_a
     )

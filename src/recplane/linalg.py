@@ -4,7 +4,8 @@ Matrices are lists of row lists of field scalars.  Everything here is plain
 Gaussian elimination; sizes stay tiny except for the Hilbert rank oracle,
 which gets a bitmask fast path over F_2.  `echelon` is forward elimination
 only; it gives `rank`, and with `in_row_space` tests many vectors against
-one row space.  `rref` (full reduction) serves `kernel_basis` and
+one row space.  `extend_echelon` grows such a row space one vector at a
+time, for a greedy basis.  `rref` (full reduction) serves `kernel_basis` and
 `solve_combination`.
 """
 
@@ -78,9 +79,13 @@ def rank(field, rows) -> int:
     return len(echelon(field, rows))
 
 
-def in_row_space(field, pivots, vec) -> bool:
-    """True when `vec` is a combination of the rows of `echelon` output
-    `pivots`: it is reduced by each pivot row in turn and must vanish."""
+def _remainder(field, pivots, vec) -> list:
+    """`vec` reduced by each (pivot column, inverse of the pivot, row) of
+    `pivots` in turn.
+
+    `pivots` is `echelon` output, or is built by `extend_echelon`; a row is
+    read only from its pivot on.
+    """
     v = list(vec)
     zero = field.zero
     for c, inv, row in pivots:
@@ -89,7 +94,32 @@ def in_row_space(field, pivots, vec) -> bool:
             for j in range(c, len(v)):
                 if row[j] != zero:
                     v[j] = field.sub(v[j], field.mul(f, row[j]))
-    return all(x == zero for x in v)
+    return v
+
+
+def in_row_space(field, pivots, vec) -> bool:
+    """True when `vec` is a combination of the rows of `pivots`: its
+    remainder vanishes."""
+    zero = field.zero
+    return all(x == zero for x in _remainder(field, pivots, vec))
+
+
+def extend_echelon(field, pivots, vec) -> bool:
+    """Append the remainder of `vec` to `pivots`, with its first nonzero
+    entry as pivot, unless `vec` lies in their row space; True when it was
+    appended.
+
+    The remainder vanishes at every earlier pivot column, so
+    `in_row_space` stays exact; the pivots are in the order they came,
+    not by column.
+    """
+    v = _remainder(field, pivots, vec)
+    zero = field.zero
+    c = next((j for j, x in enumerate(v) if x != zero), None)
+    if c is None:
+        return False
+    pivots.append((c, field.inv(v[c]), v))
+    return True
 
 
 def kernel_basis(field, rows, ncols):

@@ -129,6 +129,35 @@ def test_closure_matches_the_rank_definition(case):
     assert got.quotient_dim == r
 
 
+def _greedy_rank_basis(field, rows):
+    """Positions of the rows that raise the rank of the rows kept before."""
+    kept = []
+    for i, row in enumerate(rows, start=1):
+        if linalg.rank(field, [rows[k - 1] for k in kept] + [row]) > len(kept):
+            kept.append(i)
+    return kept
+
+
+@settings(max_examples=120, deadline=None)
+@given(arrangements_and_subsets())
+def test_chosen_basis_matches_the_rank_definition(case):
+    """The basis of an arrangement, and the basis that gives the
+    coordinates of its restriction to a flat, are the forms that raise the
+    rank of the forms kept before them."""
+    arr, subset = case
+    field = arr.field
+    basis = _greedy_rank_basis(field, [list(f) for f in arr.forms])
+    assert arr.basis_indices == tuple(basis)
+    assert arr.rank == len(basis)
+    flat = closure(arr, subset)
+    rows = [list(arr.form(i)) for i in flat.indices]
+    basis_rows = [rows[k - 1] for k in _greedy_rank_basis(field, rows)]
+    restricted = restrict_to_flat(arr, flat)
+    assert restricted.n == len(basis_rows)
+    assert [list(f) for f in restricted.forms] == [
+        linalg.solve_combination(field, basis_rows, row) for row in rows]
+
+
 def test_closure_idempotent_monotone(four_cycle):
     for size in range(four_cycle.m + 1):
         for combo in itertools.combinations(range(1, 5), size):

@@ -104,10 +104,16 @@ def test_forward_elimination_rank_matches_rref(matrix):
 @given(matrices(), st.data())
 def test_echelon_rows_and_row_space_membership(matrix, data):
     """`echelon` gives one row per unit of rank, with ascending pivots; a
-    vector is in the row space exactly when it adds no rank."""
+    vector is in the row space exactly when it adds no rank.  Rows added one
+    at a time by `extend_echelon` span the same space."""
     field, rows = matrix
     pivots = linalg.echelon(field, rows)
     assert len(pivots) == linalg.rank(field, rows)
+    grown = []
+    added = [linalg.extend_echelon(field, grown, row) for row in rows]
+    assert added == [
+        linalg.rank(field, rows[:k + 1]) > linalg.rank(field, rows[:k])
+        for k in range(len(rows))]
     cols = [c for c, _, _ in pivots]
     assert cols == sorted(set(cols))
     for c, inv, row in pivots:
@@ -121,6 +127,7 @@ def test_echelon_rows_and_row_space_membership(matrix, data):
     for row in rows:
         k = field.from_int(data.draw(st.integers(-2, 2)))
         combo = [field.add(a, field.mul(k, b)) for a, b in zip(combo, row)]
-    assert linalg.in_row_space(field, pivots, combo)
-    assert linalg.in_row_space(field, pivots, vec) == (
-        linalg.rank(field, rows + [vec]) == len(pivots))
+    for space in (pivots, grown):
+        assert linalg.in_row_space(field, space, combo)
+        assert linalg.in_row_space(field, space, vec) == (
+            linalg.rank(field, rows + [vec]) == len(pivots))

@@ -1,13 +1,19 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recplane import groebner
 from recplane.fields import PrimeField, RationalField
 from recplane.groebner import (
+    buchberger,
     eliminate,
     groebner_ideal,
     ideal_equal,
     is_groebner,
     normal_form,
+    reduce_basis,
+    s_polynomial,
 )
 from recplane.polynomials import PolyRing, RingError
 
@@ -130,3 +136,107 @@ def test_groebner_membership_of_combinations(da, db):
     if combo.is_zero():
         return
     assert normal_form(combo, basis).is_zero()
+
+
+# -- the pair criteria leave the reduced basis unchanged ----------------------
+
+FIELDS = (F2, PrimeField(3), PrimeField(5), Q)
+
+
+def plain_completion(gens):
+    """Buchberger's algorithm with no pair criterion: every pair of the
+    growing basis is reduced, in the order the pairs arise."""
+    G = [g for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        r = normal_form(s_polynomial(G[i], G[j]), G)
+        if not r.is_zero():
+            pairs.extend((k, len(G)) for k in range(len(G)))
+            G.append(r.monic())
+    return G
+
+
+small_poly = st.lists(
+    st.tuples(st.integers(-3, 3), st.tuples(*[st.integers(0, 2)] * 3)),
+    min_size=1, max_size=3,
+)
+
+
+@st.composite
+def ideals(draw):
+    field = draw(st.sampled_from(FIELDS))
+    r = t_ring(field, 3)
+    gens = [_poly(r, d) for d in draw(st.lists(small_poly, min_size=1,
+                                               max_size=3))]
+    return r, [g for g in gens if not g.is_zero()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideals())
+def test_criteria_keep_the_reduced_basis(case):
+    _, gens = case
+    basis = groebner_ideal(gens)
+    assert basis == reduce_basis(plain_completion(gens))
+    assert is_groebner(basis)
+
+
+def test_chain_criterion_skips_a_pair(monkeypatch):
+    """Each pair of t1*t2, t2*t3, t1*t3 has the lcm t1*t2*t3, which the third
+    leading monomial divides: once two pairs are treated, the third is
+    skipped."""
+    r = t_ring(Q, 3)
+    gens = [r.parse("t1*t2"), r.parse("t2*t3"), r.parse("t1*t3")]
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return s_polynomial(f, g)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    assert buchberger(gens) == gens
+    assert len(calls) == 2
+
+
+# -- differential test against sympy ------------------------------------------
+
+def _as_monic_set(pairs, p):
+    """{(exponent vector, coefficient)} of each monic polynomial, with F_p
+    coefficients taken to 0..p-1."""
+    out = set()
+    for terms in pairs:
+        lead = max(terms)[1]
+        if p:
+            inv = pow(lead, -1, p)
+            out.add(frozenset((e, c * inv % p) for e, c in terms))
+        else:
+            out.add(frozenset((e, c / lead) for e, c in terms))
+    return out
+
+
+def _dense_terms(poly):
+    n = len(poly.ring.variables)
+    return [(tuple(dict(m).get(n - i, 0) for i in range(n)), c)
+            for m, c in poly.terms]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideals())
+def test_groebner_ideal_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    r, gens = case
+    if not gens:
+        return
+    p = getattr(r.field, "p", 0)
+    symbols = sympy.symbols(r.variables)
+    options = {"modulus": p} if p else {"domain": sympy.QQ}
+    polys = [sympy.Poly.from_dict(
+        {e: int(c) if p else sympy.Rational(c.numerator, c.denominator)
+         for e, c in _dense_terms(g)}, *symbols, **options) for g in gens]
+    theirs = sympy.groebner(polys, *symbols, order="lex", **options)
+    want = _as_monic_set(
+        ([(e, int(c) if p else Fraction(int(c.p), int(c.q)))
+          for e, c in g.terms()]
+         for g in theirs.polys), p)
+    got = _as_monic_set((_dense_terms(g) for g in groebner_ideal(gens)), p)
+    assert got == want
