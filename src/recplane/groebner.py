@@ -7,16 +7,16 @@ makes golden tests and `ideal_equal` deterministic.
 
 Work saved on the way to that basis, none of which changes it:
 
-- the inputs are interreduced before the pair queue;
 - pairs with coprime leading monomials are never queued (Buchberger's first
   criterion), and a queued pair is skipped by the chain criterion
   (Buchberger 1979; Gebauer-Moeller 1988) once two pairs through a third
   element whose leading monomial divides its lcm have been treated;
 - the `(lm, lc, g)` reducer list is built once per completion and grows
-  with the basis, instead of once per `normal_form` call;
-- `ideal_equal` returns at once when the two reduced bases are equal, since
-  a reduced basis is unique, and runs the normal-form containment only
-  when they differ.
+  with the basis, instead of once per `normal_form` call.
+
+`ideal_equal` compares the two reduced bases and nothing else: a reduced
+basis is unique, so equal bases are equal ideals and different bases are
+different ideals.
 
 `is_groebner` applies no pair criterion, so it stays an independent check
 of the completion.  Nothing here comes from `modules`: the two engines are
@@ -38,28 +38,34 @@ from .polynomials import (
 )
 
 
-def _reducers(basis) -> list:
-    """(lm, lc, g) of each nonzero element of `basis`, in order."""
-    return [(g.lm(), g.lc(), g) for g in basis if not g.is_zero()]
+class _ReducerBasis(list):
+    """A growing basis that keeps its `(lm, lc, g)` reducer list up to date.
 
-
-def _keep(kept, reducers, r) -> None:
-    """Append monic `r` to a basis and to its reducer list."""
-    r = r.monic()
-    kept.append(r)
-    reducers.append((r.lm(), r.lc(), r))
-
-
-def normal_form(f: Polynomial, basis, reducers=None) -> Polynomial:
-    """Remainder of f under division by `basis`; no term of the result is
-    divisible by any basis leading monomial.
-
-    `reducers`, when given, is the `(lm, lc, g)` list of `basis` already
-    built (the completion keeps one and appends to it); `basis` is then not
-    read.
+    `normal_form` divides by that list as it stands instead of building one;
+    only `append` may change the basis, or the list goes stale.
     """
-    if reducers is None:
-        reducers = _reducers(basis)
+
+    __slots__ = ("reducers",)
+
+    def __init__(self, elems=()):
+        super().__init__()
+        self.reducers: list = []
+        for g in elems:
+            self.append(g)
+
+    def append(self, g):
+        if not g.is_zero():
+            self.reducers.append((g.lm(), g.lc(), g))
+        super().append(g)
+
+
+def normal_form(f: Polynomial, basis) -> Polynomial:
+    """Remainder of f under division by `basis`; no term of the result is
+    divisible by any basis leading monomial."""
+    if isinstance(basis, _ReducerBasis):
+        reducers = basis.reducers
+    else:
+        reducers = [(g.lm(), g.lc(), g) for g in basis if not g.is_zero()]
     if not reducers:
         return f
     field = f.ring.field
@@ -123,13 +129,13 @@ def buchberger(gens) -> list:
 
     A pair is never queued when its leading monomials are coprime
     (Buchberger's first criterion) and is skipped when the chain criterion
-    shows it redundant.  The `(lm, lc, g)` reducer list is built once and
-    grows with the basis.
+    shows it redundant.  The basis keeps its `(lm, lc, g)` reducer list,
+    built once and grown with it.
     """
-    G = [g for g in gens if not g.is_zero()]
+    G = _ReducerBasis(g for g in gens if not g.is_zero())
     if not G:
         return []
-    reducers = _reducers(G)
+    reducers = G.reducers
     heap = []
     pending = set()
 
@@ -150,11 +156,11 @@ def buchberger(gens) -> list:
         pending.discard((i, j))
         if _chain_criterion(reducers, pending, i, j, lcm):
             continue
-        r = normal_form(s_polynomial(G[i], G[j]), G, reducers)
+        r = normal_form(s_polynomial(G[i], G[j]), G)
         if not r.is_zero():
-            _keep(G, reducers, r)
+            G.append(r.monic())
             push_pairs(len(G) - 1)
-    return G
+    return list(G)
 
 
 def reduce_basis(G) -> list:
@@ -169,27 +175,15 @@ def reduce_basis(G) -> list:
     for g in G:
         if not any(mono_divides(h.lm(), g.lm()) for h in minimal):
             minimal.append(g)
-    reduced = []
-    reducers = []
+    reduced = _ReducerBasis()
     for g in minimal:
-        _keep(reduced, reducers, normal_form(g, reduced, reducers))
-    return reduced
+        reduced.append(normal_form(g, reduced).monic())
+    return list(reduced)
 
 
 def groebner_ideal(gens) -> list:
-    """Reduced Groebner basis of the ideal generated by `gens`.
-
-    The inputs are interreduced first, as in `modules.module_groebner`: in
-    ascending leading monomial, each is replaced by its monic normal form
-    modulo the ones kept so far, or dropped when that is zero.
-    """
-    kept, reducers = [], []
-    for g in sorted((g for g in gens if not g.is_zero()),
-                    key=lambda g: g.lm()):
-        r = normal_form(g, kept, reducers)
-        if not r.is_zero():
-            _keep(kept, reducers, r)
-    return reduce_basis(buchberger(kept))
+    """Reduced Groebner basis of the ideal generated by `gens`."""
+    return reduce_basis(buchberger(gens))
 
 
 def is_groebner(G) -> bool:
@@ -230,19 +224,9 @@ def eliminate(gens, drop_vars, subring=None) -> list:
 
 
 def ideal_equal(A, B) -> bool:
-    """Equal reduced bases, or else mutual containment via normal forms.
-
-    A reduced basis is unique, so equal bases settle the question; the
-    normal-form containment runs only when they differ.
-    """
+    """Whether A and B generate the same ideal: equal reduced bases."""
     nonzero_a = [a for a in A if not a.is_zero()]
     nonzero_b = [b for b in B if not b.is_zero()]
     if nonzero_a and nonzero_b and nonzero_a[0].ring != nonzero_b[0].ring:
         raise RingError("ideal generators from different rings")
-    ga = groebner_ideal(nonzero_a)
-    gb = groebner_ideal(nonzero_b)
-    if ga == gb:
-        return True
-    return all(normal_form(b, ga).is_zero() for b in nonzero_b) and all(
-        normal_form(a, gb).is_zero() for a in nonzero_a
-    )
+    return groebner_ideal(nonzero_a) == groebner_ideal(nonzero_b)
