@@ -95,9 +95,6 @@ class Arrangement:
                 seen[key] = i
         return self
 
-    def subset_rank(self, indices) -> int:
-        return linalg.rank(self.field, [list(self.form(i)) for i in indices])
-
     def basis_coordinates(self):
         """Row i-1: coordinates of z_i in the basis forms (length = rank)."""
         if self._coords is None:
@@ -200,9 +197,6 @@ class Relation:
         if any(x != field.zero for x in total):
             raise ValueError("coefficients do not annihilate the forms")
         return self
-
-    def coeff_of(self, i: int):
-        return self.coeffs[self.support.index(i)]
 
     def size(self) -> int:
         return len(self.support)

@@ -18,6 +18,7 @@ from .fields import FieldError
 from .oracle import (
     count_points,
     hilbert,
+    verify_charts,
     verify_groebner_lemma,
     verify_lemma7,
     verify_minimal,
@@ -33,7 +34,7 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 CHECKS = ("theorem1", "theorem2", "minimal", "groebner-lemma",
-          "stratification", "lemma7")
+          "stratification", "lemma7", "charts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,6 +260,8 @@ def _run_check(arr, args, caps):
         return count_points(arr, caps)
     if check == "lemma7":
         return verify_lemma7(arr)
+    if check == "charts":
+        return verify_charts(arr, caps)
     if check == "groebner-lemma":
         if args.grassmann is not None:
             degrees = [args.grassmann]

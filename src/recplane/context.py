@@ -17,11 +17,15 @@ class InstanceContext:
     - `kernel`: the generators of Ker(h) by elimination, or None until asked;
     - `presentations`: (super, mode, caps) -> Presentation;
     - `odd_relations`: (Relation, S) -> P_{L,S};
-    - `dz_expansions`: index tuple I -> expansion of dz_I in the basis dz's.
+    - `dz_expansions`: index tuple I -> expansion of dz_I in the basis dz's;
+    - `grassmann_bases`: (super, mode, caps) -> (the generators of that
+      presentation, [G_0, G_1, ...]), the reduced bases of the degree
+      pieces of the ideal they generate, built one degree from the last
+      and only as far as a check has asked.
     """
 
     __slots__ = ("arrangement", "kernel", "presentations", "odd_relations",
-                 "dz_expansions")
+                 "dz_expansions", "grassmann_bases")
 
     def __init__(self, arrangement):
         self.arrangement = arrangement
@@ -29,6 +33,7 @@ class InstanceContext:
         self.presentations: dict = {}
         self.odd_relations: dict = {}
         self.dz_expansions: dict = {}
+        self.grassmann_bases: dict = {}
 
 
 _current: InstanceContext | None = None

@@ -7,6 +7,14 @@ an enumeration that drops a partial point at the first kernel generator not
 vanishing on it, and Hilbert dimensions computed two unrelated ways.  No
 check trusts the construction it is checking.
 
+The span side of `verify_theorem2`, the circuit span of `verify_minimal`
+and the per-circuit bases of `verify_lemma7` are the Grassmann-degree
+pieces of an ideal, built one degree from the last (`_grassmann_bases`):
+the degree-r piece is spanned by the u_j multiples of the degree-(r-1)
+basis and the generators of degree r.  A presentation's chain is kept in
+the instance context and built only as far as a check asks.  The kernel
+side stays the independent derivation: elimination, then preimages.
+
 The substitutions of one call group (one degree of the `hilbert` rank step,
 or one `verify_charts` call) share the forms, the dz expansions and the
 products of form powers built so far.  That state lives only as long as
@@ -386,7 +394,12 @@ def kernel_K_degree(arr: Arrangement, r: int, igens=None):
 
 
 def span_module_generators(arr: Arrangement, pres, r: int):
-    """Degree-r piece of the ideal the presentation generates: u_B multiples."""
+    """Degree-r piece of the ideal the presentation generates: u_B multiples.
+
+    The checks build their bases with `_grassmann_bases`; this list names
+    the witness of a failing `verify_theorem2` degree and the candidates of
+    the `verify_minimal` sweep.
+    """
     out = []
     seen = set()
     for g in pres.generators:
@@ -408,6 +421,45 @@ def span_module_generators(arr: Arrangement, pres, r: int):
             seen.add(key)
             out.append(prod)
     return out
+
+
+def _grassmann_bases(gens, m: int, rmax: int, bases=None):
+    """Reduced bases G_0..G_rmax of the Grassmann-degree pieces of the ideal
+    that the nonzero, Grassmann-homogeneous elements `gens` generate.
+
+    The ideal's degree-r piece is u_1 J_{r-1} + ... + u_m J_{r-1} plus the
+    generators of degree r, so G_r is the reduced basis of the u_j * g for g
+    in G_{r-1} together with those generators.  `bases` holds the G_0..G_k
+    built so far; it is extended in place up to rmax and returned.
+    """
+    bases = [] if bases is None else bases
+    by_degree: dict = {}
+    for g in gens:
+        by_degree.setdefault(g.grassmann_degrees()[0], []).append(g)
+    for r in range(len(bases), rmax + 1):
+        inputs = list(by_degree.get(r, ()))
+        if r:
+            inputs += [ext_mul_monomial((j,), g)
+                       for g in bases[r - 1] for j in range(1, m + 1)]
+        bases.append(module_groebner(inputs))
+    return bases
+
+
+def _presentation_bases(arr: Arrangement, pres, caps: Caps | None,
+                        rmax: int):
+    """`_grassmann_bases` of an odd presentation, up to degree rmax.
+
+    The chain is kept in the instance context under the presentation's own
+    key (super, mode, caps), so each check extends what an earlier one
+    built.  It is rebuilt when that key now yields other generators.
+    """
+    table = instance_context(arr).grassmann_bases
+    key = (pres.super, pres.mode, caps)
+    got = table.get(key)
+    if got is None or got[0] is not pres.generators:
+        got = table[key] = (pres.generators, [])
+    gens = [g.element for g in pres.generators if not g.element.is_zero()]
+    return _grassmann_bases(gens, arr.m, rmax, got[1])
 
 
 def modules_equal(A, B):
@@ -456,19 +508,25 @@ def verify_theorem2(arr: Arrangement, mode: str = "circuits",
     rmax = arr.m if rmax is None else rmax
     igens = _instance_kernel(arr)
     pres = super_generators(arr, mode, caps)
+    bases = _presentation_bases(arr, pres, caps, rmax)
     degrees = []
     witnesses = []
     ok = True
     for r in range(rmax + 1):
-        lhs = span_module_generators(arr, pres, r)
         if r <= arr.rank:
+            # a reduced basis already
             rhs = kernel_K_degree(arr, r, igens)
         else:
             # beyond the rank everything of this degree is a relation
             ring = t_ring(arr)
-            rhs = [ExtElement(ring, {I: ring.one()})
-                   for I in itertools.combinations(range(1, arr.m + 1), r)]
-        equal, witness = modules_equal(lhs, rhs)
+            rhs = module_groebner([
+                ExtElement(ring, {I: ring.one()})
+                for I in itertools.combinations(range(1, arr.m + 1), r)])
+        equal, witness = True, None
+        if bases[r] != rhs:
+            # the u_B multiples of the generators name the witness
+            lhs = span_module_generators(arr, pres, r)
+            equal, witness = modules_equal(lhs, rhs)
         degrees.append({"r": r, "status": "pass" if equal else "fail"})
         if not equal:
             ok = False
@@ -516,20 +574,15 @@ def _all_generators_in_circuit_span(arr: Arrangement,
     basis of the circuit span in Grassmann degree |S|."""
     sup_c = super_generators(arr, "circuits", caps)
     sup_a = super_generators(arr, "all", caps)
-    by_degree: dict = {}
-    for g in sup_a.generators:
-        if g.element.is_zero():
-            continue
-        r = len(g.subset)
-        if r not in by_degree:
-            lhs = span_module_generators(arr, sup_c, r)
-            by_degree[r] = ({e.sort_key() for e in lhs}, module_groebner(lhs))
-        lhs_keys, gb = by_degree[r]
-        if g.element.sort_key() in lhs_keys:
-            continue
-        if not module_normal_form(g.element, gb).is_zero():
-            return False
-    return True
+    circuit_keys = {g.element.sort_key() for g in sup_c.generators}
+    todo = [g for g in sup_a.generators if not g.element.is_zero()
+            and g.element.sort_key() not in circuit_keys]
+    if not todo:
+        return True
+    bases = _presentation_bases(arr, sup_c, caps,
+                                max(len(g.subset) for g in todo))
+    return all(module_normal_form(g.element, bases[len(g.subset)]).is_zero()
+               for g in todo)
 
 
 def _minimal_sweep(arr: Arrangement, caps: Caps | None = None) -> Report:
@@ -539,17 +592,13 @@ def _minimal_sweep(arr: Arrangement, caps: Caps | None = None) -> Report:
     ok_i, witnesses = _minimal_ideal(arr, caps)
     sup_c = super_generators(arr, "circuits", caps)
     sup_a = super_generators(arr, "all", caps)
+    bases = _presentation_bases(arr, sup_c, caps, arr.m)
     degrees = []
     ok = ok_i
     for r in range(arr.m + 1):
-        lhs = span_module_generators(arr, sup_c, r)
-        gb = module_groebner(lhs)
-        lhs_keys = {e.sort_key() for e in lhs}
         status = "pass"
         for cand in span_module_generators(arr, sup_a, r):
-            if cand.sort_key() in lhs_keys:
-                continue
-            if not module_normal_form(cand, gb).is_zero():
+            if not module_normal_form(cand, bases[r]).is_zero():
                 status = "fail"
                 ok = False
                 witnesses.append({"r": r, "witness": str(cand)})
@@ -568,9 +617,10 @@ def verify_lemma7(arr: Arrangement) -> Report:
     witnesses = []
     checked = 0
     for rel in circuits_of(arr):
-        gb_of_degree: dict = {}
+        bases: list = []
         i1 = rel.support[0]
         plist = {S: odd_relation(arr, rel, S) for S in subsets_of(rel.support)}
+        gens = [p for p in plist.values() if not p.is_zero()]
         u1 = ExtElement.generator(ring, i1)
         base = ext_mul(u1, ExtElement.from_poly(p_of_L(ring, rel))) - plist[
             (i1,)
@@ -590,18 +640,8 @@ def verify_lemma7(arr: Arrangement) -> Report:
             if q.is_zero():
                 continue
             r = len(S) + 1
-            if r not in gb_of_degree:
-                basis = []
-                for T, p in plist.items():
-                    if p.is_zero() or len(T) > r:
-                        continue
-                    for B in itertools.combinations(range(1, arr.m + 1),
-                                                    r - len(T)):
-                        prod = ext_mul_monomial(B, p)
-                        if not prod.is_zero():
-                            basis.append(prod)
-                gb_of_degree[r] = module_groebner(basis)
-            nf = module_normal_form(q, gb_of_degree[r])
+            nf = module_normal_form(q, _grassmann_bases(gens, arr.m, r,
+                                                        bases)[r])
             if not nf.is_zero():
                 witnesses.append({"relation": list(rel.support), "S": list(S),
                                   "reduction": str(nf)})

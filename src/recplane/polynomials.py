@@ -258,24 +258,8 @@ class Polynomial:
         m = self.lm()
         return m, self._d[m]
 
-    def total_degree(self) -> int:
-        if not self._d:
-            return 0
-        return max(mono_degree(m) for m in self._d)
-
-    def is_homogeneous(self) -> bool:
-        degs = {mono_degree(m) for m in self._d}
-        return len(degs) <= 1
-
     def coeff(self, mono):
         return self._d.get(mono, self.ring.field.zero)
-
-    def variables_used(self):
-        names = set()
-        for m in self._d:
-            for r, _ in m:
-                names.add(self.ring._name_of[r])
-        return names
 
     # ---- arithmetic ----
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -359,23 +343,6 @@ class Polynomial:
         return Polynomial(
             self.ring, {mono_mul(m, mono): field.mul(c, x) for m, x in self._d.items()}
         )
-
-    def sub_scaled(self, other: "Polynomial", c, mono) -> "Polynomial":
-        """self - c * x^mono * other, fused."""
-        field = self.ring.field
-        if field.char == 2:
-            shifted = {mono_mul(m, mono) for m in other._d}
-            return Polynomial(self.ring, dict.fromkeys(self._d.keys() ^ shifted, 1))
-        d = dict(self._d)
-        zero = field.zero
-        for m, x in other._d.items():
-            key = mono_mul(m, mono)
-            s = field.sub(d.get(key, zero), field.mul(c, x))
-            if s == zero:
-                d.pop(key, None)
-            else:
-                d[key] = s
-        return Polynomial(self.ring, d)
 
     def monic(self) -> "Polynomial":
         if not self._d:

@@ -85,6 +85,15 @@ def test_verify_all_checks_pass_on_examples(specs, capsys):
         assert code == 0, (check, out)
 
 
+def test_verify_charts_check(specs, capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", "--check",
+                           "charts", specs["E3"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["check"] == "charts" and data["status"] == "pass"
+    assert data["details"]["flats"] == 5  # [], [1], [2], [3], [1, 2, 3]
+
+
 def test_points_and_hilbert(specs, capsys):
     code, out, _ = run_cli(capsys, "points", specs["E3"])
     assert code == 0

@@ -18,6 +18,7 @@ from recplane.oracle import (
     hilbert,
     kernel_I,
     kernel_K_degree,
+    span_module_generators,
     verify_charts,
     verify_groebner_lemma,
     verify_lemma7,
@@ -30,7 +31,7 @@ from recplane.relations import (
     super_generators,
     t_ring,
 )
-from recplane.superalg import ExtElement, parse_ext
+from recplane.superalg import ExtElement, ext_mul_monomial, parse_ext
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -243,10 +244,153 @@ def test_minimal_falls_back_to_sweep_on_failure(monkeypatch):
     assert rep.to_json() == oracle._minimal_sweep(arr).to_json()
 
 
+@st.composite
+def small_arrangements(draw):
+    field = draw(st.sampled_from((F2, F3, F5, Q)))
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2).map(field.from_int)
+    form = st.lists(entry, min_size=n, max_size=n).filter(
+        lambda row: any(x != field.zero for x in row))
+    return Arrangement(field, n, draw(st.lists(form, min_size=1, max_size=5)))
+
+
+def _u_multiples(m, gens, r):
+    """Every nonzero u_B * g with |B| = r - deg g: the degree-r span as
+    verify_lemma7 built it before the bases were chained."""
+    out = []
+    for g in gens:
+        k = g.grassmann_degrees()[0]
+        if k > r:
+            continue
+        for B in itertools.combinations(range(1, m + 1), r - k):
+            prod = ext_mul_monomial(B, g)
+            if not prod.is_zero():
+                out.append(prod)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_arrangements())
+def test_chained_bases_match_the_u_multiples(arr):
+    """G_r built from G_{r-1} is the reduced basis of every u_B multiple of
+    the generators, for a presentation and for each circuit's P_{L,T}."""
+    from recplane.oracle import _grassmann_bases, _presentation_bases
+    from recplane.relations import odd_relation, subsets_of
+
+    pres = super_generators(arr)
+    bases = _presentation_bases(arr, pres, None, arr.m)
+    assert len(bases) == arr.m + 1
+    for r, gb in enumerate(bases):
+        assert gb == module_groebner(span_module_generators(arr, pres, r))
+    for rel in circuits(arr):
+        gens = [odd_relation(arr, rel, T) for T in subsets_of(rel.support)]
+        gens = [p for p in gens if not p.is_zero()]
+        top = len(rel.support) + 1
+        for r, gb in enumerate(_grassmann_bases(gens, arr.m, top)):
+            assert gb == module_groebner(_u_multiples(arr.m, gens, r))
+
+
+def test_minimal_reuses_the_chain_theorem2_built(monkeypatch):
+    """The chain is built only as far as asked, and kept under the
+    presentation's key, so minimal on an equal arrangement builds nothing."""
+    import recplane.context as context
+    import recplane.oracle as oracle
+    from recplane.context import instance_context
+
+    monkeypatch.setattr(context, "_current", None)
+    arr = Arrangement(F2, 3, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1],
+                              [0, 1, 1]])
+    assert verify_theorem2(arr, rmax=1).ok
+    table = instance_context(arr).grassmann_bases
+    assert list(table) == [(True, "circuits", None)]
+    assert len(table[True, "circuits", None][1]) == 2
+    assert verify_theorem2(arr).ok
+    assert len(table[True, "circuits", None][1]) == arr.m + 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the circuit span was built again")
+
+    monkeypatch.setattr(oracle, "module_groebner", refuse)
+    twin = Arrangement(F2, 3, [list(arr.form(i)) for i in range(1, 6)])
+    assert twin is not arr and twin == arr
+    assert verify_minimal(twin).ok
+
+
+def _without_P_L(monkeypatch):
+    """Make oracle.super_generators drop P_{L,()} of every circuit."""
+    import dataclasses
+
+    import recplane.oracle as oracle
+
+    real = oracle.super_generators
+
+    def dropped(arr, mode="circuits", caps=None):
+        pres = real(arr, mode, caps)
+        if mode != "circuits":
+            return pres
+        kept = tuple(g for g in pres.generators if g.subset != ())
+        return dataclasses.replace(pres, generators=kept)
+
+    monkeypatch.setattr(oracle, "super_generators", dropped)
+    return dropped
+
+
+def test_theorem2_failure_names_the_u_multiple_witness(monkeypatch,
+                                                       four_cycle):
+    from recplane.oracle import modules_equal
+
+    # the chain of the full presentation is kept, and must not be read
+    # for the presentation that lacks P_L
+    assert verify_theorem2(four_cycle).ok
+    dropped = _without_P_L(monkeypatch)
+    pres = dropped(four_cycle)
+    rep = verify_theorem2(four_cycle)
+    assert rep.status == "fail"
+    expected = []
+    for r in range(four_cycle.m + 1):
+        rhs = kernel_K_degree(four_cycle, r)
+        if r > four_cycle.rank:
+            ring = t_ring(four_cycle)
+            rhs = [ExtElement(ring, {I: ring.one()})
+                   for I in itertools.combinations(range(1, 5), r)]
+        equal, witness = modules_equal(
+            span_module_generators(four_cycle, pres, r), rhs)
+        if not equal:
+            expected.append({"r": r, "witness": witness})
+    assert [w["r"] for w in expected] == [0, 1]
+    assert rep.witnesses == expected
+
+
+def test_minimal_failure_names_the_old_sweep_witness(monkeypatch, four_cycle):
+    """The sweep reduces by the chained bases and names the first failing
+    u_B multiple of each degree, as reducing by the u_B multiples did."""
+    import recplane.oracle as oracle
+
+    dropped = _without_P_L(monkeypatch)
+    assert not oracle._all_generators_in_circuit_span(four_cycle, None)
+    rep = verify_minimal(four_cycle)
+    sup_c = dropped(four_cycle)
+    sup_a = super_generators(four_cycle, "all")
+    expected = []
+    for r in range(four_cycle.m + 1):
+        lhs = span_module_generators(four_cycle, sup_c, r)
+        gb = module_groebner(lhs)
+        keys = {e.sort_key() for e in lhs}
+        for cand in span_module_generators(four_cycle, sup_a, r):
+            if (cand.sort_key() not in keys
+                    and not module_normal_form(cand, gb).is_zero()):
+                expected.append({"r": r, "witness": str(cand)})
+                break
+    assert [w["r"] for w in expected] == [0, 1]
+    assert rep.status == "fail"
+    assert rep.witnesses == expected
+    assert rep.to_json() == oracle._minimal_sweep(four_cycle).to_json()
+
+
 def test_theorem2_settles_every_degree_by_equal_bases(monkeypatch, triangle_q,
                                                       triangle_f2):
-    """Both sides of each degree are u elements, so modules_equal settles
-    every degree by comparing the reduced bases and reduces no generator."""
+    """Both sides of each degree are u elements, so every degree is settled
+    by comparing the reduced bases, and no generator is reduced."""
     import recplane.oracle as oracle
 
     def refuse(*args, **kwargs):
@@ -519,7 +663,7 @@ def test_call_groups_leave_no_state_in_the_instance_context(four_cycle):
     from recplane.oracle import x_ring
 
     slots = ("arrangement", "kernel", "presentations", "odd_relations",
-             "dz_expansions")
+             "dz_expansions", "grassmann_bases")
     assert hilbert(four_cycle, super=True, max_degree=4)["rank"]
     assert verify_charts(four_cycle).ok
     assert InstanceContext.__slots__ == slots
