@@ -26,12 +26,12 @@ class Caps:
     family: int = 4096       # p^C(m,r) for the basis-family enumeration
 
     @staticmethod
-    def from_env(base: "Caps | None" = None) -> "Caps":
-        base = base or Caps()
+    def from_env() -> "Caps":
         vals = {}
         for name in ("points", "flats", "relations", "family"):
             raw = os.environ.get(f"RECPLANE_CAP_{name.upper()}")
-            vals[name] = int(raw) if raw else getattr(base, name)
+            if raw:
+                vals[name] = int(raw)
         return Caps(**vals)
 
     def check(self, what: str, required: int, cap: int) -> None:

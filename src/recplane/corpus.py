@@ -20,26 +20,24 @@ def _nonzero_forms(p: int, n: int):
     return [v for v in itertools.product(range(p), repeat=n) if any(v)]
 
 
-def enumerate_arrangements(p: int, max_n: int, max_m: int,
-                           min_m: int = 1, spanning: bool = True):
+def enumerate_arrangements(p: int, max_n: int, max_m: int):
     """Yield (name, Arrangement) for every multiset within the bounds."""
     field = PrimeField(p)
     for n in range(1, max_n + 1):
         forms = _nonzero_forms(p, n)
-        for m in range(max(min_m, 1), max_m + 1):
+        for m in range(1, max_m + 1):
             for combo in itertools.combinations_with_replacement(
                 range(len(forms)), m
             ):
                 rows = [list(forms[k]) for k in combo]
-                if spanning and linalg.rank(field, rows) != n:
+                if linalg.rank(field, rows) != n:
                     continue
                 name = f"p{p}_n{n}_m{m}_" + "-".join(str(k) for k in combo)
                 yield name, Arrangement(field, n, rows)
 
 
 def random_rational_arrangements(count: int, seed: int,
-                                 max_n: int = 3, max_m: int = 5,
-                                 coeff_bound: int = 3):
+                                 max_n: int = 3, max_m: int = 5):
     """Seeded random rational instances; entries are small integers."""
     rng = random.Random(seed)
     field = RationalField()
@@ -49,7 +47,7 @@ def random_rational_arrangements(count: int, seed: int,
         m = rng.randint(n, max_m)
         forms = []
         while len(forms) < m:
-            vec = [rng.randint(-coeff_bound, coeff_bound) for _ in range(n)]
+            vec = [rng.randint(-3, 3) for _ in range(n)]
             if any(vec):
                 forms.append(vec)
         out.append((f"q_seed{seed}_{k}_n{n}_m{m}", Arrangement(field, n, forms)))

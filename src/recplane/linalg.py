@@ -167,19 +167,3 @@ def matrix_rank_f2_bitmask(rows_bits) -> int:
                 break
             row ^= other
     return rk
-
-
-def matrix_rank(field, rows) -> int:
-    """Rank of a dense scalar matrix; F_2 rows get packed into bitmasks."""
-    if not rows:
-        return 0
-    if getattr(field, "p", 0) == 2:
-        packed = []
-        for row in rows:
-            bits = 0
-            for j, x in enumerate(row):
-                if x:
-                    bits |= 1 << j
-            packed.append(bits)
-        return matrix_rank_f2_bitmask(packed)
-    return rank(field, rows)

@@ -8,7 +8,10 @@ order, then basis labels compare via their descending index tuples.
 plain and the tracked completion skip same-label pairs by the
 Gebauer-Moeller chain criterion.  The tracked completion keeps
 representations over the input generators, which yields syzygies and, from
-those, submodule preimages.
+those, submodule preimages.  `module_spair_remainders` reduces every
+same-label S-pair of a list with no criterion at all: it is the Buchberger
+check behind `is_module_groebner` and the explicit-family check of
+`oracle.verify_groebner_lemma`.
 """
 
 from __future__ import annotations
@@ -285,23 +288,28 @@ def module_groebner(gens):
     return reduce_module_basis(G)
 
 
+def module_spair_remainders(G):
+    """(i, j, remainder) for every pair i < j of elements of G whose leading
+    terms share a label: the remainder of their S-pair modulo G.
+
+    Pairs come grouped by label, labels in order of first appearance, and
+    no pair criterion skips any.  Zero elements take part in no pair.
+    """
+    reducers = _IndexedBasis(G)
+    for members in reducers.by_label.values():
+        for a, (_, _, f, i) in enumerate(members):
+            for _, _, g, j in members[a + 1:]:
+                s, _, _ = _spair(f, g)
+                yield i, j, module_normal_form(s, reducers)
+
+
 def is_module_groebner(G) -> bool:
     """Buchberger criterion: every applicable S-pair reduces to zero.
 
     Every pair is reduced, with no pair criterion, so that this stays an
     independent check on the completions.
     """
-    G = _IndexedBasis(g for g in G if not g.is_zero())
-    for i in range(len(G)):
-        _, _, labi = G[i].lt()
-        for j in range(i + 1, len(G)):
-            _, _, labj = G[j].lt()
-            if labi != labj:
-                continue
-            s, _, _ = _spair(G[i], G[j])
-            if not module_normal_form(s, G).is_zero():
-                return False
-    return True
+    return all(rem.is_zero() for _, _, rem in module_spair_remainders(G))
 
 
 def module_intersect(A, B):

@@ -15,6 +15,12 @@ basis and the generators of degree r.  A presentation's chain is kept in
 the instance context and built only as far as a check asks.  The kernel
 side stays the independent derivation: elimination, then preimages.
 
+Each of these checks is one pass over the degrees.  A `verify_theorem2`
+degree fails exactly when its two reduced bases differ, and only then is
+anything reduced, to name the witness.  `verify_minimal` reduces the
+all-family generators of each degree modulo the circuit chain, and every
+u_B multiple once some degree has failed.
+
 The substitutions of one call group (one degree of the `hilbert` rank step,
 or one `verify_charts` call) share the forms, the dz expansions and the
 products of form powers built so far.  That state lives only as long as
@@ -40,7 +46,12 @@ from .caps import Caps
 from .context import instance_context
 from .fields import FieldError
 from .groebner import eliminate, groebner_ideal, ideal_equal, normal_form
-from .modules import module_groebner, module_normal_form, module_preimage
+from .modules import (
+    module_groebner,
+    module_normal_form,
+    module_preimage,
+    module_spair_remainders,
+)
 from .polynomials import Polynomial, PolyRing, mono_divides
 from .relations import (
     _chart_poly_ring,
@@ -393,34 +404,17 @@ def kernel_K_degree(arr: Arrangement, r: int, igens=None):
     return module_groebner([ExtElement(ring, dict(zip(subsets, vec))) for vec in rows])
 
 
-def span_module_generators(arr: Arrangement, pres, r: int):
-    """Degree-r piece of the ideal the presentation generates: u_B multiples.
-
-    The checks build their bases with `_grassmann_bases`; this list names
-    the witness of a failing `verify_theorem2` degree and the candidates of
-    the `verify_minimal` sweep.
-    """
-    out = []
-    seen = set()
-    for g in pres.generators:
-        el = g.element
-        if isinstance(el, Polynomial):
-            el = ExtElement.from_poly(el)
-        if el.is_zero():
-            continue
-        k = el.grassmann_degrees()[0]
+def _u_multiples(gens, m: int, r: int):
+    """The nonzero u_B * P_{L,S} of Grassmann degree r, lazily: the records
+    `gens` in order and, for each, B over the (r - |S|)-subsets of 1..m."""
+    for g in gens:
+        k = len(g.subset)
         if k > r:
             continue
-        for B in itertools.combinations(range(1, arr.m + 1), r - k):
-            prod = ext_mul_monomial(B, el)
-            if prod.is_zero():
-                continue
-            key = prod.monic().sort_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(prod)
-    return out
+        for B in itertools.combinations(range(1, m + 1), r - k):
+            prod = ext_mul_monomial(B, g.element) if B else g.element
+            if not prod.is_zero():
+                yield prod
 
 
 def _grassmann_bases(gens, m: int, rmax: int, bases=None):
@@ -462,24 +456,20 @@ def _presentation_bases(arr: Arrangement, pres, caps: Caps | None,
     return _grassmann_bases(gens, arr.m, rmax, got[1])
 
 
-def modules_equal(A, B):
-    """Mutual containment of spans by normal-form reduction; returns
-    (equal, witness) with a witness element string on failure.
+def _span_witness(pres, basis, rhs, r: int) -> str:
+    """Names an element in one of two spans and not the other, given their
+    reduced bases `basis` (of the presentation's degree-r piece) and `rhs`.
 
-    Equal spans have the same reduced Groebner basis, so equal bases settle
-    it; the generators are reduced only when the bases differ.
+    Reduced bases are unique, so two different ones always have one.
     """
-    ga = module_groebner(A)
-    gb = module_groebner(B)
-    if ga == gb:
-        return True, None
-    for b in B:
-        if not module_normal_form(b, ga).is_zero():
-            return False, f"not in first span: {b}"
-    for a in A:
-        if not module_normal_form(a, gb).is_zero():
-            return False, f"not in second span: {a}"
-    return True, None
+    for b in rhs:
+        if not module_normal_form(b, basis).is_zero():
+            return f"not in first span: {b}"
+    m = pres.arrangement.m
+    for a in _u_multiples(pres.generators, m, r):
+        if not module_normal_form(a, rhs).is_zero():
+            return f"not in second span: {a}"
+    raise AssertionError("two different reduced bases span one module")
 
 
 # -- instance-level theorem checks ---------------------------------------------
@@ -522,15 +512,12 @@ def verify_theorem2(arr: Arrangement, mode: str = "circuits",
             rhs = module_groebner([
                 ExtElement(ring, {I: ring.one()})
                 for I in itertools.combinations(range(1, arr.m + 1), r)])
-        equal, witness = True, None
-        if bases[r] != rhs:
-            # the u_B multiples of the generators name the witness
-            lhs = span_module_generators(arr, pres, r)
-            equal, witness = modules_equal(lhs, rhs)
+        equal = bases[r] == rhs
         degrees.append({"r": r, "status": "pass" if equal else "fail"})
         if not equal:
             ok = False
-            witnesses.append({"r": r, "witness": witness})
+            witnesses.append({"r": r,
+                              "witness": _span_witness(pres, bases[r], rhs, r)})
     return Report("theorem2", label, "pass" if ok else "fail", witnesses,
                   {"mode": mode, "degrees": degrees})
 
@@ -540,21 +527,41 @@ def verify_minimal(arr: Arrangement, caps: Caps | None = None) -> Report:
 
     Circuits normalize to the same Relation objects that the enumeration
     produces, so the circuit family is a subset of the full one and only the
-    reverse containment needs reduction.  The odd ideal J_all lies in J_circ
-    exactly when every nonzero all-family generator P_{L,S} lies in the
-    circuit span of its own Grassmann degree |S|: the u_B multiples follow,
-    because J_circ is an ideal.  So each generator is reduced once; only when
-    one of them, or the commutative check, fails does the degree-by-degree
-    sweep run, and the report is the sweep's.
+    reverse containment needs reduction, degree by degree against the
+    circuit chain G_r.  While every lower degree has passed, degree r
+    reduces only the all-family generators P_{L,S} with |S| = r: a
+    generator of lower degree lies in J_circ, and so do its u_B multiples.
+    Once a degree has failed, every u_B multiple of degree r is reduced.
+    A failing degree names the first element that does not reduce to zero.
     """
     if arr.field.char == 0:
         raise FieldError("minimality check enumerates relations over F_p")
-    ok_i, _ = _minimal_ideal(arr, caps)
-    if not ok_i or not _all_generators_in_circuit_span(arr, caps):
-        return _minimal_sweep(arr, caps)
-    degrees = [{"r": r, "status": "pass"} for r in range(arr.m + 1)]
-    return Report("minimal", instance_label(arr), "pass", [],
-                  {"ideal_equal": True, "degrees": degrees})
+    ok_i, witnesses = _minimal_ideal(arr, caps)
+    sup_c = super_generators(arr, "circuits", caps)
+    sup_a = super_generators(arr, "all", caps)
+    circuit_keys = {g.element.sort_key() for g in sup_c.generators}
+    todo = [g for g in sup_a.generators if not g.element.is_zero()
+            and g.element.sort_key() not in circuit_keys]
+    by_degree: dict = {}
+    for g in todo:
+        by_degree.setdefault(len(g.subset), []).append(g)
+    degrees = []
+    failed = False
+    for r in range(arr.m + 1):
+        gens = todo if failed else by_degree.get(r, ())
+        witness = None
+        if gens:
+            basis = _presentation_bases(arr, sup_c, caps, r)[r]
+            witness = next((c for c in _u_multiples(gens, arr.m, r)
+                            if not module_normal_form(c, basis).is_zero()),
+                           None)
+        degrees.append({"r": r, "status": "pass" if witness is None else "fail"})
+        if witness is not None:
+            failed = True
+            witnesses.append({"r": r, "witness": str(witness)})
+    ok = ok_i and not failed
+    return Report("minimal", instance_label(arr), "pass" if ok else "fail",
+                  witnesses, {"ideal_equal": ok_i, "degrees": degrees})
 
 
 def _minimal_ideal(arr: Arrangement, caps: Caps | None):
@@ -566,46 +573,6 @@ def _minimal_ideal(arr: Arrangement, caps: Caps | None):
         if not normal_form(g.element, gb_i).is_zero():
             return False, [{"ideal_witness": str(g.element)}]
     return True, []
-
-
-def _all_generators_in_circuit_span(arr: Arrangement,
-                                    caps: Caps | None) -> bool:
-    """Every nonzero all-family P_{L,S} reduces to zero modulo a Groebner
-    basis of the circuit span in Grassmann degree |S|."""
-    sup_c = super_generators(arr, "circuits", caps)
-    sup_a = super_generators(arr, "all", caps)
-    circuit_keys = {g.element.sort_key() for g in sup_c.generators}
-    todo = [g for g in sup_a.generators if not g.element.is_zero()
-            and g.element.sort_key() not in circuit_keys]
-    if not todo:
-        return True
-    bases = _presentation_bases(arr, sup_c, caps,
-                                max(len(g.subset) for g in todo))
-    return all(module_normal_form(g.element, bases[len(g.subset)]).is_zero()
-               for g in todo)
-
-
-def _minimal_sweep(arr: Arrangement, caps: Caps | None = None) -> Report:
-    """verify_minimal by reducing every u_B multiple of every all-family
-    generator, degree by degree; names the first failure of each degree."""
-    label = instance_label(arr)
-    ok_i, witnesses = _minimal_ideal(arr, caps)
-    sup_c = super_generators(arr, "circuits", caps)
-    sup_a = super_generators(arr, "all", caps)
-    bases = _presentation_bases(arr, sup_c, caps, arr.m)
-    degrees = []
-    ok = ok_i
-    for r in range(arr.m + 1):
-        status = "pass"
-        for cand in span_module_generators(arr, sup_a, r):
-            if not module_normal_form(cand, bases[r]).is_zero():
-                status = "fail"
-                ok = False
-                witnesses.append({"r": r, "witness": str(cand)})
-                break
-        degrees.append({"r": r, "status": status})
-    return Report("minimal", label, "pass" if ok else "fail", witnesses,
-                  {"ideal_equal": ok_i, "degrees": degrees})
 
 
 def verify_lemma7(arr: Arrangement) -> Report:
@@ -738,29 +705,14 @@ def verify_groebner_lemma(arr: Arrangement, r: int,
     family = dedupe(s1) + dedupe(s2) + dedupe(s3)
 
     # Buchberger criterion against the family itself, no completion.
-    from .modules import _IndexedBasis, _spair
-
-    reducers = _IndexedBasis(family)
     pairs = 0
     witnesses = []
-    grouped: dict = {}
-    for idx, g in enumerate(family):
-        grouped.setdefault(g.lt()[2], []).append(idx)
-    for members in grouped.values():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                i, j = members[a], members[b]
-                s, _, _ = _spair(family[i], family[j])
-                pairs += 1
-                rem = module_normal_form(s, reducers)
-                if not rem.is_zero():
-                    witnesses.append({"pair": [i, j], "remainder": str(rem)})
-                    if len(witnesses) >= 3:
-                        break
+    for i, j, rem in module_spair_remainders(family):
+        pairs += 1
+        if not rem.is_zero():
+            witnesses.append({"pair": [i, j], "remainder": str(rem)})
             if len(witnesses) >= 3:
                 break
-        if len(witnesses) >= 3:
-            break
 
     # The family and the straight generators span the same submodule.
     plain = []
@@ -993,8 +945,7 @@ def chart_kernel(arr: Arrangement, flat: Flat):
     return _elimination_kernel(arr, flat.indices, chart)
 
 
-def verify_charts(arr: Arrangement, caps: Caps | None = None,
-                  include_super: bool = True) -> Report:
+def verify_charts(arr: Arrangement, caps: Caps | None = None) -> Report:
     """Chart generators against the elimination kernel, flat by flat.
 
     Commutative charts get the full two-sided ideal comparison; super charts
@@ -1013,13 +964,11 @@ def verify_charts(arr: Arrangement, caps: Caps | None = None,
             witnesses.append({"flat": list(f.indices),
                               "kernel": [str(k) for k in ker],
                               "chart": [str(g) for g in gens]})
-        if include_super:
-            sup = chart_ring(arr, f, super=True)
-            for g in sup.generators:
-                if g.element.is_zero():
-                    continue
-                if not eval_chart(arr, f, g.element, shared).is_zero():
-                    witnesses.append({"flat": list(f.indices),
-                                      "super_generator": str(g.element)})
+        for g in chart_ring(arr, f, super=True).generators:
+            if g.element.is_zero():
+                continue
+            if not eval_chart(arr, f, g.element, shared).is_zero():
+                witnesses.append({"flat": list(f.indices),
+                                  "super_generator": str(g.element)})
     status = "pass" if not witnesses else "fail"
     return Report("charts", label, status, witnesses, {"flats": count})

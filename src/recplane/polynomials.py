@@ -258,9 +258,6 @@ class Polynomial:
         m = self.lm()
         return m, self._d[m]
 
-    def coeff(self, mono):
-        return self._d.get(mono, self.ring.field.zero)
-
     # ---- arithmetic ----
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)

@@ -117,9 +117,6 @@ class Presentation:
     def ring(self) -> PolyRing:
         return t_ring(self.arrangement)
 
-    def elements(self):
-        return [g.element for g in self.generators]
-
     def to_json(self) -> dict:
         arr = self.arrangement
         m = arr.m

@@ -62,11 +62,19 @@ def test_solve_combination_rational():
     assert linalg.solve_combination(q, [[q.one, q.zero]], [q.zero, q.one]) is None
 
 
-def test_bitmask_rank_matches_generic():
-    f = PrimeField(2)
-    rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]
-    assert linalg.matrix_rank(f, rows) == linalg.rank(f, rows) == 3
+def _packed(rows):
+    """F_2 rows as bitmasks, column j at bit j."""
+    return [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
 
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda ncols: st.lists(st.lists(st.integers(0, 1), min_size=ncols,
+                                    max_size=ncols), max_size=12)))
+@example(rows=[[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
+def test_bitmask_rank_matches_generic(rows):
+    assert (linalg.matrix_rank_f2_bitmask(_packed(rows))
+            == linalg.rank(PrimeField(2), rows))
 
 
 RANK_FIELDS = (PrimeField(2), PrimeField(5), RationalField())

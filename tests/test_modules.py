@@ -13,6 +13,7 @@ from recplane.modules import (
     module_intersect,
     module_normal_form,
     module_preimage,
+    module_spair_remainders,
     module_syzygies,
     reduce_module_basis,
 )
@@ -65,6 +66,23 @@ def test_groebner_rank_one_linear_case():
     gens = [vec(r, (), "t1 - t2"), vec(r, (), "t2 - t3")]
     basis = module_groebner(gens)
     assert module_normal_form(vec(r, (), "t1 - t3"), basis).is_zero()
+
+
+def test_spair_remainders_of_a_list_that_is_not_a_basis():
+    """Same-label pairs only, grouped by label in order of first appearance,
+    indices into the list as given (the zero element takes no part)."""
+    r = t_ring(Q, 2)  # t2 > t1
+    G = [vec(r, (), "t1^2 + t2"), vec(r, (1,), "t1"), ExtElement.zero(r),
+         vec(r, (), "t1*t2 + 1"), vec(r, (1,), "t2")]
+    got = list(module_spair_remainders(G))
+    # t1 * (t1^2 + t2) - (t1*t2 + 1) is reduced modulo G already
+    assert [(i, j) for i, j, _ in got] == [(0, 3), (1, 4)]
+    assert got[0][2] == vec(r, (), "t1^3 - 1")
+    assert got[1][2].is_zero()
+    assert not is_module_groebner(G)
+    basis = module_groebner(G)
+    assert all(rem.is_zero() for _, _, rem in module_spair_remainders(basis))
+    assert is_module_groebner(basis)
 
 
 def test_module_tracking_produces_membership_certificates():

@@ -18,7 +18,6 @@ from recplane.oracle import (
     hilbert,
     kernel_I,
     kernel_K_degree,
-    span_module_generators,
     verify_charts,
     verify_groebner_lemma,
     verify_lemma7,
@@ -204,22 +203,87 @@ TWO_CIRCUITS = Arrangement(
 )
 
 
+def _u_multiples(m, gens, r):
+    """Every nonzero u_B * g with |B| = r - deg g: the degree-r span as
+    verify_lemma7 built it before the bases were chained."""
+    out = []
+    for g in gens:
+        k = g.grassmann_degrees()[0]
+        if k > r:
+            continue
+        for B in itertools.combinations(range(1, m + 1), r - k):
+            prod = ext_mul_monomial(B, g)
+            if not prod.is_zero():
+                out.append(prod)
+    return out
+
+
+def _span_generators(pres, r):
+    """The u_B multiples of degree r of a presentation's generators, each
+    once up to a scalar, in generator order."""
+    gens = [g.element for g in pres.generators if not g.element.is_zero()]
+    out = []
+    seen = set()
+    for prod in _u_multiples(pres.arrangement.m, gens, r):
+        key = prod.monic().sort_key()
+        if key not in seen:
+            seen.add(key)
+            out.append(prod)
+    return out
+
+
+def _modules_equal(A, B):
+    """Mutual containment of two spans by reduction: (equal, witness)."""
+    ga = module_groebner(A)
+    gb = module_groebner(B)
+    for b in B:
+        if not module_normal_form(b, ga).is_zero():
+            return False, f"not in first span: {b}"
+    for a in A:
+        if not module_normal_form(a, gb).is_zero():
+            return False, f"not in second span: {a}"
+    return True, None
+
+
+def _sweep_report(arr, sup_c):
+    """verify_minimal by its definition, with no chain: in every degree,
+    the first u_B multiple of the all family that does not reduce to zero
+    modulo the reduced basis of the circuit family's u_B multiples."""
+    import recplane.oracle as oracle
+
+    ok_i, witnesses = oracle._minimal_ideal(arr, None)
+    sup_a = super_generators(arr, "all")
+    degrees = []
+    ok = ok_i
+    for r in range(arr.m + 1):
+        gb = module_groebner(_span_generators(sup_c, r))
+        status = "pass"
+        for cand in _span_generators(sup_a, r):
+            if not module_normal_form(cand, gb).is_zero():
+                status = "fail"
+                ok = False
+                witnesses.append({"r": r, "witness": str(cand)})
+                break
+        degrees.append({"r": r, "status": status})
+    return {"check": "minimal", "instance": oracle.instance_label(arr),
+            "status": "pass" if ok else "fail", "witnesses": witnesses,
+            "details": {"ideal_equal": ok_i, "degrees": degrees}}
+
+
 @pytest.mark.parametrize("arr", [
     Arrangement(F2, 1, [[1], [1], [1]]),
     TWO_CIRCUITS,
     Arrangement(F2, 1, [[1]] * 5),  # p2_n1_m5_0-0-0-0-0 of the corpus
 ], ids=["collinear-triples", "two-circuits", "p2_n1_m5_0-0-0-0-0"])
 def test_minimal_per_generator_matches_sweep(arr):
-    from recplane.oracle import _minimal_sweep
-
     rep = verify_minimal(arr)
     assert rep.ok
-    assert rep.to_json() == _minimal_sweep(arr).to_json()
+    assert rep.to_json() == _sweep_report(arr, super_generators(arr))
 
 
 def test_minimal_falls_back_to_sweep_on_failure(monkeypatch):
-    """With one circuit's odd generators gone, the per-generator check fails
-    and the report is the degree sweep's, failing degree included."""
+    """With one circuit's odd generators gone, degree 0 fails, and every
+    later degree reduces all its u_B multiples as the sweep does."""
     import dataclasses
 
     import recplane.oracle as oracle
@@ -236,12 +300,11 @@ def test_minimal_falls_back_to_sweep_on_failure(monkeypatch):
 
     monkeypatch.setattr(oracle, "super_generators", without_circuit)
     arr = TWO_CIRCUITS
-    assert not oracle._all_generators_in_circuit_span(arr, None)
     rep = verify_minimal(arr)
     assert rep.status == "fail"
     assert rep.details["ideal_equal"]
     assert {"r": 0, "status": "fail"} in rep.details["degrees"]
-    assert rep.to_json() == oracle._minimal_sweep(arr).to_json()
+    assert rep.to_json() == _sweep_report(arr, without_circuit(arr))
 
 
 @st.composite
@@ -254,21 +317,6 @@ def small_arrangements(draw):
     return Arrangement(field, n, draw(st.lists(form, min_size=1, max_size=5)))
 
 
-def _u_multiples(m, gens, r):
-    """Every nonzero u_B * g with |B| = r - deg g: the degree-r span as
-    verify_lemma7 built it before the bases were chained."""
-    out = []
-    for g in gens:
-        k = g.grassmann_degrees()[0]
-        if k > r:
-            continue
-        for B in itertools.combinations(range(1, m + 1), r - k):
-            prod = ext_mul_monomial(B, g)
-            if not prod.is_zero():
-                out.append(prod)
-    return out
-
-
 @settings(max_examples=25, deadline=None)
 @given(small_arrangements())
 def test_chained_bases_match_the_u_multiples(arr):
@@ -278,10 +326,11 @@ def test_chained_bases_match_the_u_multiples(arr):
     from recplane.relations import odd_relation, subsets_of
 
     pres = super_generators(arr)
+    gens = [g.element for g in pres.generators if not g.element.is_zero()]
     bases = _presentation_bases(arr, pres, None, arr.m)
     assert len(bases) == arr.m + 1
     for r, gb in enumerate(bases):
-        assert gb == module_groebner(span_module_generators(arr, pres, r))
+        assert gb == module_groebner(_u_multiples(arr.m, gens, r))
     for rel in circuits(arr):
         gens = [odd_relation(arr, rel, T) for T in subsets_of(rel.support)]
         gens = [p for p in gens if not p.is_zero()]
@@ -316,75 +365,99 @@ def test_minimal_reuses_the_chain_theorem2_built(monkeypatch):
     assert verify_minimal(twin).ok
 
 
-def _without_P_L(monkeypatch):
-    """Make oracle.super_generators drop P_{L,()} of every circuit."""
+def _patch_circuits(monkeypatch, change):
+    """Make oracle.super_generators pass the circuit presentation's
+    generators through `change`; returns the patched function."""
     import dataclasses
 
     import recplane.oracle as oracle
 
     real = oracle.super_generators
 
-    def dropped(arr, mode="circuits", caps=None):
+    def patched(arr, mode="circuits", caps=None):
         pres = real(arr, mode, caps)
         if mode != "circuits":
             return pres
-        kept = tuple(g for g in pres.generators if g.subset != ())
-        return dataclasses.replace(pres, generators=kept)
+        return dataclasses.replace(pres, generators=change(pres.generators))
 
-    monkeypatch.setattr(oracle, "super_generators", dropped)
-    return dropped
+    monkeypatch.setattr(oracle, "super_generators", patched)
+    return patched
+
+
+def _without_P_L(monkeypatch):
+    """Drop P_{L,()} of every circuit."""
+    return _patch_circuits(
+        monkeypatch, lambda gens: tuple(g for g in gens if g.subset != ()))
+
+
+def _theorem2_reference(arr, pres):
+    """The witnesses of verify_theorem2 by mutual containment of the u_B
+    multiples and the kernel, degree by degree."""
+    expected = []
+    for r in range(arr.m + 1):
+        rhs = kernel_K_degree(arr, r)
+        if r > arr.rank:
+            ring = t_ring(arr)
+            rhs = [ExtElement(ring, {I: ring.one()})
+                   for I in itertools.combinations(range(1, arr.m + 1), r)]
+        equal, witness = _modules_equal(_span_generators(pres, r), rhs)
+        if not equal:
+            expected.append({"r": r, "witness": witness})
+    return expected
 
 
 def test_theorem2_failure_names_the_u_multiple_witness(monkeypatch,
                                                        four_cycle):
-    from recplane.oracle import modules_equal
-
     # the chain of the full presentation is kept, and must not be read
     # for the presentation that lacks P_L
     assert verify_theorem2(four_cycle).ok
     dropped = _without_P_L(monkeypatch)
-    pres = dropped(four_cycle)
     rep = verify_theorem2(four_cycle)
     assert rep.status == "fail"
-    expected = []
-    for r in range(four_cycle.m + 1):
-        rhs = kernel_K_degree(four_cycle, r)
-        if r > four_cycle.rank:
-            ring = t_ring(four_cycle)
-            rhs = [ExtElement(ring, {I: ring.one()})
-                   for I in itertools.combinations(range(1, 5), r)]
-        equal, witness = modules_equal(
-            span_module_generators(four_cycle, pres, r), rhs)
-        if not equal:
-            expected.append({"r": r, "witness": witness})
+    expected = _theorem2_reference(four_cycle, dropped(four_cycle))
     assert [w["r"] for w in expected] == [0, 1]
     assert rep.witnesses == expected
+
+
+def test_theorem2_names_a_generator_outside_the_kernel(monkeypatch,
+                                                      four_cycle):
+    """An extra generator t2*u1, which psi does not kill, makes the span
+    too large: the witness is a u_B multiple outside the kernel."""
+    import dataclasses
+
+    ring = t_ring(four_cycle)
+    extra = ExtElement.generator(ring, 1).poly_mul(ring.variable("t2"))
+    patched = _patch_circuits(monkeypatch, lambda gens: gens + (
+        dataclasses.replace(gens[0], element=extra, subset=(1,)),))
+    rep = verify_theorem2(four_cycle)
+    assert rep.status == "fail"
+    assert rep.witnesses[0] == {"r": 1,
+                                "witness": f"not in second span: {extra}"}
+    assert rep.witnesses == _theorem2_reference(four_cycle,
+                                                patched(four_cycle))
 
 
 def test_minimal_failure_names_the_old_sweep_witness(monkeypatch, four_cycle):
-    """The sweep reduces by the chained bases and names the first failing
-    u_B multiple of each degree, as reducing by the u_B multiples did."""
-    import recplane.oracle as oracle
-
+    """Without P_L degree 0 fails, and each later degree names the first
+    failing u_B multiple, as reducing by the u_B multiples did."""
     dropped = _without_P_L(monkeypatch)
-    assert not oracle._all_generators_in_circuit_span(four_cycle, None)
     rep = verify_minimal(four_cycle)
-    sup_c = dropped(four_cycle)
-    sup_a = super_generators(four_cycle, "all")
-    expected = []
-    for r in range(four_cycle.m + 1):
-        lhs = span_module_generators(four_cycle, sup_c, r)
-        gb = module_groebner(lhs)
-        keys = {e.sort_key() for e in lhs}
-        for cand in span_module_generators(four_cycle, sup_a, r):
-            if (cand.sort_key() not in keys
-                    and not module_normal_form(cand, gb).is_zero()):
-                expected.append({"r": r, "witness": str(cand)})
-                break
-    assert [w["r"] for w in expected] == [0, 1]
     assert rep.status == "fail"
-    assert rep.witnesses == expected
-    assert rep.to_json() == oracle._minimal_sweep(four_cycle).to_json()
+    assert [w["r"] for w in rep.witnesses] == [0, 1]
+    assert rep.to_json() == _sweep_report(four_cycle, dropped(four_cycle))
+
+
+def test_minimal_failure_first_seen_in_degree_one(monkeypatch, four_cycle):
+    """Without the P_{L,S} with |S| = 1, degree 0 passes and degree 1 is
+    the first to fail; its witness is a degree-1 generator."""
+    dropped = _patch_circuits(
+        monkeypatch, lambda gens: tuple(g for g in gens if len(g.subset) != 1))
+    rep = verify_minimal(four_cycle)
+    assert rep.status == "fail"
+    assert rep.details["degrees"][:2] == [{"r": 0, "status": "pass"},
+                                          {"r": 1, "status": "fail"}]
+    assert rep.witnesses[0]["r"] == 1
+    assert rep.to_json() == _sweep_report(four_cycle, dropped(four_cycle))
 
 
 def test_theorem2_settles_every_degree_by_equal_bases(monkeypatch, triangle_q,
@@ -394,7 +467,7 @@ def test_theorem2_settles_every_degree_by_equal_bases(monkeypatch, triangle_q,
     import recplane.oracle as oracle
 
     def refuse(*args, **kwargs):
-        raise AssertionError("modules_equal reduced a generator")
+        raise AssertionError("theorem2 reduced a generator")
 
     monkeypatch.setattr(oracle, "module_normal_form", refuse)
     for arr in (triangle_q, triangle_f2):
@@ -402,21 +475,6 @@ def test_theorem2_settles_every_degree_by_equal_bases(monkeypatch, triangle_q,
         assert rep.ok
         assert rep.details["degrees"] == [
             {"r": r, "status": "pass"} for r in range(arr.m + 1)]
-
-
-def test_modules_equal_by_bases_and_by_reduction(triangle_q):
-    """Two generating sets of one span are equal by their reduced bases; a
-    strictly smaller span is named by a generator outside it."""
-    from recplane.oracle import modules_equal
-
-    ring = t_ring(triangle_q)
-    t1, t2 = ring.variable("t1"), ring.variable("t2")
-    a = ExtElement(ring, {(1,): t1, (2,): t2})
-    b = ExtElement(ring, {(2,): t1})
-    assert modules_equal([a, b], [a + b.poly_mul(t2), b.scale(2)]) == (True, None)
-    equal, witness = modules_equal([a], [a, b])
-    assert not equal
-    assert witness == f"not in first span: {b}"
 
 
 # -- the instance context --------------------------------------------------------
