@@ -270,6 +270,25 @@ def _sweep_report(arr, sup_c):
             "details": {"ideal_equal": ok_i, "degrees": degrees}}
 
 
+def _patch_circuits(monkeypatch, change):
+    """Make oracle.super_generators pass the circuit presentation's
+    generators through `change`; returns the patched function."""
+    import dataclasses
+
+    import recplane.oracle as oracle
+
+    real = oracle.super_generators
+
+    def patched(arr, mode="circuits", caps=None):
+        pres = real(arr, mode, caps)
+        if mode != "circuits":
+            return pres
+        return dataclasses.replace(pres, generators=change(pres.generators))
+
+    monkeypatch.setattr(oracle, "super_generators", patched)
+    return patched
+
+
 @pytest.mark.parametrize("arr", [
     Arrangement(F2, 1, [[1], [1], [1]]),
     TWO_CIRCUITS,
@@ -284,21 +303,8 @@ def test_minimal_per_generator_matches_sweep(arr):
 def test_minimal_falls_back_to_sweep_on_failure(monkeypatch):
     """With one circuit's odd generators gone, degree 0 fails, and every
     later degree reduces all its u_B multiples as the sweep does."""
-    import dataclasses
-
-    import recplane.oracle as oracle
-
-    real = oracle.super_generators
-
-    def without_circuit(arr, mode="circuits", caps=None):
-        pres = real(arr, mode, caps)
-        if mode != "circuits":
-            return pres
-        kept = tuple(g for g in pres.generators
-                     if g.relation.support != (1, 2, 3))
-        return dataclasses.replace(pres, generators=kept)
-
-    monkeypatch.setattr(oracle, "super_generators", without_circuit)
+    without_circuit = _patch_circuits(monkeypatch, lambda gens: tuple(
+        g for g in gens if g.relation.support != (1, 2, 3)))
     arr = TWO_CIRCUITS
     rep = verify_minimal(arr)
     assert rep.status == "fail"
@@ -363,25 +369,6 @@ def test_minimal_reuses_the_chain_theorem2_built(monkeypatch):
     twin = Arrangement(F2, 3, [list(arr.form(i)) for i in range(1, 6)])
     assert twin is not arr and twin == arr
     assert verify_minimal(twin).ok
-
-
-def _patch_circuits(monkeypatch, change):
-    """Make oracle.super_generators pass the circuit presentation's
-    generators through `change`; returns the patched function."""
-    import dataclasses
-
-    import recplane.oracle as oracle
-
-    real = oracle.super_generators
-
-    def patched(arr, mode="circuits", caps=None):
-        pres = real(arr, mode, caps)
-        if mode != "circuits":
-            return pres
-        return dataclasses.replace(pres, generators=change(pres.generators))
-
-    monkeypatch.setattr(oracle, "super_generators", patched)
-    return patched
 
 
 def _without_P_L(monkeypatch):
