@@ -27,15 +27,7 @@ from __future__ import annotations
 
 import heapq
 
-from .polynomials import (
-    Polynomial,
-    RingError,
-    mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .polynomials import ExponentOverflow, Polynomial, PolyRing, RingError
 
 
 class _ReducerBasis(list):
@@ -69,27 +61,27 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     if not reducers:
         return f
     field = f.ring.field
+    guard = f.ring.guard
     work = dict(f._d)
     rem = {}
     while work:
         m = max(work)
         c = work.pop(m)
-        hit = None
         for lm, lc, g in reducers:
-            if mono_divides(lm, m):
-                hit = (lm, lc, g)
+            shift = m - lm  # the quotient, when lm divides m
+            if shift >= 0 and not shift & guard:
                 break
-        if hit is None:
+        else:
             rem[m] = c
             continue
-        lm, lc, g = hit
         factor = field.div(c, lc)
-        shift = mono_div(m, lm)
         # work -= factor * x^shift * g  (the leading terms cancel)
         for gm, gc in g._d.items():
             if gm == lm:
                 continue
-            key = mono_mul(gm, shift)
+            key = gm + shift
+            if key & guard:
+                raise ExponentOverflow()
             s = field.sub(work.get(key, field.zero), field.mul(factor, gc))
             if s == field.zero:
                 work.pop(key, None)
@@ -99,16 +91,16 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    field = f.ring.field
+    ring = f.ring
     lmf, lcf = f.lt()
     lmg, lcg = g.lt()
-    lcm = mono_lcm(lmf, lmg)
-    a = f.mul_term(field.inv(lcf), mono_div(lcm, lmf))
-    b = g.mul_term(field.inv(lcg), mono_div(lcm, lmg))
+    lcm = ring.mono_lcm(lmf, lmg)
+    a = f.mul_term(ring.field.inv(lcf), ring.mono_div(lcm, lmf))
+    b = g.mul_term(ring.field.inv(lcg), ring.mono_div(lcm, lmg))
     return a - b
 
 
-def _chain_criterion(reducers, pending, i, j, lcm):
+def _chain_criterion(ring, reducers, pending, i, j, lcm):
     """Gebauer-Moeller chain criterion for the pair (i, j).
 
     True when a third element k has lm(k) dividing lcm = lcm(lm(i), lm(j))
@@ -116,7 +108,7 @@ def _chain_criterion(reducers, pending, i, j, lcm):
     combination of S(i, k) and S(j, k), which were already treated.
     """
     for k, (lmk, _, _) in enumerate(reducers):
-        if k == i or k == j or not mono_divides(lmk, lcm):
+        if k == i or k == j or not ring.mono_divides(lmk, lcm):
             continue
         if ((min(i, k), max(i, k)) not in pending
                 and (min(j, k), max(j, k)) not in pending):
@@ -135,6 +127,7 @@ def buchberger(gens) -> list:
     G = _ReducerBasis(g for g in gens if not g.is_zero())
     if not G:
         return []
+    ring = G[0].ring
     reducers = G.reducers
     heap = []
     pending = set()
@@ -143,10 +136,10 @@ def buchberger(gens) -> list:
         lmj = reducers[j][0]
         for i in range(j):
             lmi = reducers[i][0]
-            lcm = mono_lcm(lmi, lmj)
-            if lcm == mono_mul(lmi, lmj):
+            lcm = ring.mono_lcm(lmi, lmj)
+            if lcm == lmi + lmj:
                 continue  # coprime leading monomials: S-pair reduces to zero
-            heapq.heappush(heap, (mono_degree(lcm), i, j, lcm))
+            heapq.heappush(heap, (ring.mono_degree(lcm), i, j, lcm))
             pending.add((i, j))
 
     for j in range(len(G)):
@@ -154,7 +147,7 @@ def buchberger(gens) -> list:
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
-        if _chain_criterion(reducers, pending, i, j, lcm):
+        if _chain_criterion(ring, reducers, pending, i, j, lcm):
             continue
         r = normal_form(s_polynomial(G[i], G[j]), G)
         if not r.is_zero():
@@ -173,7 +166,7 @@ def reduce_basis(G) -> list:
     G = sorted((g for g in G if not g.is_zero()), key=lambda g: g.lm())
     minimal = []
     for g in G:
-        if not any(mono_divides(h.lm(), g.lm()) for h in minimal):
+        if not any(g.ring.mono_divides(h.lm(), g.lm()) for h in minimal):
             minimal.append(g)
     reduced = _ReducerBasis()
     for g in minimal:
@@ -212,15 +205,14 @@ def eliminate(gens, drop_vars, subring=None) -> list:
     if set(ring.variables[:k]) != drop:
         raise RingError("drop_vars must be the greatest variables of the order")
     if subring is None:
-        from .polynomials import PolyRing
-
         subring = PolyRing(ring.field, ring.variables[k:])
-    top = len(subring.variables)
-    out = []
-    for g in groebner_ideal(gens):
-        if all((not m) or m[0][0] <= top for m in g._d):
-            out.append(ring.restrict(g, subring))
-    return out
+    basis = groebner_ideal(gens)
+    if k:
+        # under lex, g lies in the subring exactly when its leading monomial
+        # is below the least dropped variable
+        bound = ring.mono({ring.variables[k - 1]: 1})
+        basis = [g for g in basis if g.lm() < bound]
+    return [ring.restrict(g, subring) for g in basis]
 
 
 def ideal_equal(A, B) -> bool:

@@ -18,16 +18,7 @@ from __future__ import annotations
 
 import heapq
 
-from .polynomials import (
-    Polynomial,
-    PolyRing,
-    RingError,
-    mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .polynomials import ExponentOverflow, Polynomial, PolyRing, RingError
 from .superalg import ExtElement, subset_key
 
 
@@ -63,6 +54,7 @@ def module_normal_form(v: ExtElement, basis, track=False):
         basis = _IndexedBasis(basis)
     by_label = basis.by_label
     field = v.ring.field
+    guard = v.ring.guard
     work = {s: dict(p._d) for s, p in v._entries.items()}
     rem: dict = {}
     quots: dict = {} if track else None
@@ -78,20 +70,17 @@ def module_normal_form(v: ExtElement, basis, track=False):
                 best = (m, label)
         m, label = best
         c = work[label][m]
-        hit = None
         for lm, lc, g, idx in by_label.get(label, ()):
-            if mono_divides(lm, m):
-                hit = (lm, lc, g, idx)
+            shift = m - lm  # the quotient, when lm divides m
+            if shift >= 0 and not shift & guard:
                 break
-        if hit is None:
+        else:
             rem.setdefault(label, {})[m] = c
             del work[label][m]
             if not work[label]:
                 del work[label]
             continue
-        lm, lc, g, idx = hit
         factor = field.div(c, lc)
-        shift = mono_div(m, lm)
         if track:
             qd = quots.setdefault(idx, {})
             s = field.add(qd.get(shift, field.zero), factor)
@@ -104,7 +93,9 @@ def module_normal_form(v: ExtElement, basis, track=False):
             if d is None:
                 d = work[s] = {}
             for gm, gc in p._d.items():
-                key = mono_mul(gm, shift)
+                key = gm + shift
+                if key & guard:
+                    raise ExponentOverflow()
                 val = field.sub(d.get(key, field.zero), field.mul(factor, gc))
                 if val == field.zero:
                     d.pop(key, None)
@@ -125,14 +116,14 @@ def module_normal_form(v: ExtElement, basis, track=False):
 
 def _spair(f: ExtElement, g: ExtElement):
     """S-pair data for elements whose leading terms share a label."""
-    field = f.ring.field
+    ring = f.ring
     mf, cf, _ = f.lt()
     mg, cg, _ = g.lt()
-    lcm = mono_lcm(mf, mg)
-    af = field.inv(cf)
-    ag = field.inv(cg)
-    sf = mono_div(lcm, mf)
-    sg = mono_div(lcm, mg)
+    lcm = ring.mono_lcm(mf, mg)
+    af = ring.field.inv(cf)
+    ag = ring.field.inv(cg)
+    sf = ring.mono_div(lcm, mf)
+    sg = ring.mono_div(lcm, mg)
     return f.mul_term(af, sf) - g.mul_term(ag, sg), (af, sf), (ag, sg)
 
 
@@ -154,10 +145,11 @@ def _chain_criterion(G, pending, i, j):
     S(i, j) is then a combination of S(i, k) and S(j, k), which were
     already treated.
     """
+    ring = G[i].ring
     mi, _, label = G[i].lt()
-    lcm = mono_lcm(mi, G[j].lt()[0])
+    lcm = ring.mono_lcm(mi, G[j].lt()[0])
     for mk, _, _, k in G.by_label[label]:
-        if k == i or k == j or not mono_divides(mk, lcm):
+        if k == i or k == j or not ring.mono_divides(mk, lcm):
             continue
         if ((min(i, k), max(i, k)) not in pending
                 and (min(j, k), max(j, k)) not in pending):
@@ -201,7 +193,8 @@ def module_buchberger(gens, *, track=False, track_limit=None):
         mj, _, labj = G[j].lt()
         for mi, _, _, i in G.by_label[labj]:
             if i < j:
-                heapq.heappush(heap, (mono_degree(mono_lcm(mi, mj)), i, j))
+                heapq.heappush(heap, (ring.mono_degree(ring.mono_lcm(mi, mj)),
+                                      i, j))
                 pending.add((i, j))
 
     for j in range(len(G)):
@@ -260,7 +253,7 @@ def reduce_module_basis(G):
         keep = True
         for h in minimal:
             hm, _, hlabel = h.lt()
-            if hlabel == label and mono_divides(hm, m):
+            if hlabel == label and g.ring.mono_divides(hm, m):
                 keep = False
                 break
         if keep:

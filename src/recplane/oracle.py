@@ -52,7 +52,7 @@ from .modules import (
     module_preimage,
     module_spair_remainders,
 )
-from .polynomials import Polynomial, PolyRing, mono_divides
+from .polynomials import MAX_EXPONENT, Polynomial, PolyRing, mono_pairs
 from .relations import (
     _chart_poly_ring,
     chart_ring,
@@ -252,25 +252,25 @@ def _substitute(shared: _SharedSubstitution, flat, ring: PolyRing,
     """
     field = shared.arr.field
     m = shared.arr.m
-    off = [(i - 1, ring.rank_of(f"t{i}"))
+    off = [(i - 1, ring.shift_of(f"t{i}"))
            for i in range(1, m + 1) if i not in flat]
-    on = [(j - 1, ring.rank_of(f"z{j}")) for j in sorted(flat)]
+    on = [(j - 1, ring.shift_of(f"z{j}")) for j in sorted(flat)]
     pieces = []
     n_common = min_den
     for s, p in entries.items():
         for mono, c in p._d.items():
-            exps = dict(mono)
-            need = [exps.get(r, 0) + (k + 1 in s) for k, r in off]
+            need = [((mono >> sh) & MAX_EXPONENT) + (k + 1 in s)
+                    for k, sh in off]
             if need:
                 n_common = max(n_common, max(need))
-            pieces.append((s, c, need, exps))
+            pieces.append((s, c, need, mono))
     out: dict = {}
-    for s, c, need, exps in pieces:
+    for s, c, need, mono in pieces:
         vec = [0] * m
         for (k, _), e in zip(off, need):
             vec[k] = n_common - e
-        for k, r in on:
-            vec[k] = exps.get(r, 0)
+        for k, sh in on:
+            vec[k] = (mono >> sh) & MAX_EXPONENT
         prod = shared.product(tuple(vec), shared.unkept)
         for subset, coeff in shared.expansion(s).items():
             out.setdefault(subset, []).append((field.mul(c, coeff), prod))
@@ -743,21 +743,26 @@ def verify_groebner_lemma(arr: Arrangement, r: int,
 # -- stratified point counting ---------------------------------------------------
 
 
-def _evaluate_at(poly: Polynomial, point) -> bool:
-    """True when the polynomial vanishes at the point (indexed by rank-1)."""
-    field = poly.ring.field
-    total = field.zero
-    for m, c in poly._d.items():
-        term = c
-        for rank, e in m:
-            v = point[rank - 1]
-            if v == field.zero:
-                term = field.zero
+def _unpacked(poly: Polynomial):
+    """(coefficient, ((rank - 1, exponent), ...)) for each term of `poly`."""
+    return [(c, tuple((r - 1, e) for r, e in mono_pairs(m)))
+            for m, c in poly._d.items()]
+
+
+def _evaluate_at(field, terms, point):
+    """The value at `point` (indexed by rank - 1) of `_unpacked` terms."""
+    zero = field.zero
+    total = zero
+    for c, factors in terms:
+        for k, e in factors:
+            v = point[k]
+            if v == zero:
                 break
             for _ in range(e):
-                term = field.mul(term, v)
-        total = field.add(total, term)
-    return total == field.zero
+                c = field.mul(c, v)
+        else:
+            total = field.add(total, c)
+    return total
 
 
 def _vanishing_count(field, m: int, gens) -> int:
@@ -766,16 +771,19 @@ def _vanishing_count(field, m: int, gens) -> int:
     The points are enumerated coordinate by coordinate (coordinate k is the
     variable of rank k + 1), and each polynomial is tested as soon as its
     last variable has a value, so a partial point is dropped at the first
-    polynomial that does not vanish on it.
+    polynomial that does not vanish on it.  Each polynomial is unpacked once.
     """
     due = [[] for _ in range(m)]
     for g in gens:
-        last = max((rank for mono in g._d for rank, _ in mono), default=0)
+        terms = _unpacked(g)
+        last = max((k + 1 for _, factors in terms for k, _ in factors),
+                   default=0)
         if last:
-            due[last - 1].append(g)
-        elif not g.is_zero():
+            due[last - 1].append(terms)
+        elif terms:
             return 0  # a nonzero constant vanishes nowhere
     point = [field.zero] * m
+    zero = field.zero
 
     def extend(k: int) -> int:
         if k == m:
@@ -783,7 +791,8 @@ def _vanishing_count(field, m: int, gens) -> int:
         total = 0
         for v in field.elements():
             point[k] = v
-            if all(_evaluate_at(g, point) for g in due[k]):
+            if all(_evaluate_at(field, terms, point) == zero
+                   for terms in due[k]):
                 total += extend(k + 1)
         return total
 
@@ -839,7 +848,7 @@ def _t_monomials_of_degree(ring: PolyRing, d: int):
 def _standard_count(lt_monos, ring, d) -> int:
     count = 0
     for m in _t_monomials_of_degree(ring, d):
-        if not any(mono_divides(lt, m) for lt in lt_monos):
+        if not any(ring.mono_divides(lt, m) for lt in lt_monos):
             count += 1
     return count
 

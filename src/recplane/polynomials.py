@@ -1,11 +1,25 @@
 """Sparse multivariate polynomials over an exact field, lex-ordered.
 
 A ring fixes an explicit variable list, greatest first; there is no implicit
-alphabetical order anywhere.  Monomials are sparse tuples of (rank, exponent)
-pairs sorted by descending rank, where the greatest variable has the highest
-rank.  With that layout native tuple comparison coincides with the
-lexicographic monomial order, which keeps the division and completion loops
-cheap.
+alphabetical order anywhere.  A monomial is one int: every variable owns a
+field of `_W` bits, the greatest variable the highest field, and the top bit
+of each field is a guard that a valid monomial leaves clear.  With that
+layout (Bachmann-Schoenemann 1998) int comparison is the lexicographic
+monomial order, the unit monomial is 0, a product is `a + b` and a quotient
+`a - b`, and `b` divides `a` exactly when `a - b` is non-negative with every
+bit of the ring's `guard` mask clear.
+
+Two exponents up to MAX_EXPONENT sum below the next field, so an exponent
+that passes MAX_EXPONENT in a product sets its field's guard bit and never
+carries into the next variable.  The products made here and in the
+division loops of `groebner` and `modules` are tested against the guard
+mask of their ring, which covers every variable, and a set guard bit raises
+ExponentOverflow (a RingError); `PolyRing.mono` refuses an exponent above
+MAX_EXPONENT.
+
+The layout stays in this module.  Elsewhere a monomial is read with
+`mono_pairs`, or, in hot loops, as `(m >> ring.shift_of(name)) &
+MAX_EXPONENT`.
 """
 
 from __future__ import annotations
@@ -14,96 +28,42 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
-UNIT = ()
+_W = 16  # bits per variable, guard bit included
+MAX_EXPONENT = (1 << (_W - 1)) - 1  # also the mask of one exponent field
 
 
 class RingError(ValueError):
     """Configuration error: mismatched rings, orders or variables."""
 
 
-# -- monomial helpers (monomials are plain tuples, usable as dict keys) ------
+class ExponentOverflow(RingError):
+    """A product has an exponent above MAX_EXPONENT."""
 
-def mono_mul(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
+    def __init__(self):
+        super().__init__(f"a product has an exponent above {MAX_EXPONENT}")
+
+
+def mono_pairs(m: int) -> list:
+    """(rank, exponent) pairs of monomial m, greatest variable first.
+
+    Rank 1 is the least variable of the ring; only nonzero exponents appear.
+    """
     out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        ra, ea = a[i]
-        rb, eb = b[j]
-        if ra == rb:
-            out.append((ra, ea + eb))
-            i += 1
-            j += 1
-        elif ra > rb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    rank = 1
+    while m:
+        e = m & MAX_EXPONENT
+        if e:
+            out.append((rank, e))
+        m >>= _W
+        rank += 1
+    out.reverse()
+    return out
 
 
-def mono_divides(b, a) -> bool:
-    """True when monomial b divides monomial a."""
-    i = 0
-    la = len(a)
-    for rb, eb in b:
-        while i < la and a[i][0] > rb:
-            i += 1
-        if i == la or a[i][0] != rb or a[i][1] < eb:
-            return False
-        i += 1
-    return True
-
-
-def mono_div(a, b):
-    """a / b, assuming b divides a."""
-    if not b:
-        return a
-    out = []
-    j = 0
-    lb = len(b)
-    for ra, ea in a:
-        if j < lb and b[j][0] == ra:
-            e = ea - b[j][1]
-            j += 1
-            if e:
-                out.append((ra, e))
-        else:
-            out.append((ra, ea))
-    return tuple(out)
-
-
-def mono_lcm(a, b):
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        ra, ea = a[i]
-        rb, eb = b[j]
-        if ra == rb:
-            out.append((ra, max(ea, eb)))
-            i += 1
-            j += 1
-        elif ra > rb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
-def mono_degree(a) -> int:
-    return sum(e for _, e in a)
+def _check_guard(guard: int, monos) -> None:
+    for m in monos:
+        if m & guard:
+            raise ExponentOverflow()
 
 
 def _display_key(name: str):
@@ -116,10 +76,10 @@ class PolyRing:
     """F[v_1, ..., v_k] under the lex order induced by `variables`.
 
     `variables` lists the names greatest first; e.g. ("s", "t2", "t1") puts
-    s > t2 > t1.
+    s > t2 > t1.  `guard` has the guard bit of every variable's field set.
     """
 
-    __slots__ = ("field", "variables", "_rank_of", "_name_of")
+    __slots__ = ("field", "variables", "guard", "_shift_of", "_name_of")
 
     def __init__(self, field, variables: Iterable[str]):
         self.field = field
@@ -127,19 +87,22 @@ class PolyRing:
         if len(set(self.variables)) != len(self.variables):
             raise RingError("duplicate variable names")
         n = len(self.variables)
-        self._rank_of = {v: n - i for i, v in enumerate(self.variables)}
+        # rank r = n - i sits at bit (r - 1) * _W
+        self._shift_of = {v: (n - 1 - i) * _W for i, v in enumerate(self.variables)}
         self._name_of = {n - i: v for i, v in enumerate(self.variables)}
+        fields = ((1 << (n * _W)) - 1) // ((1 << _W) - 1)  # bit 0 of each field
+        self.guard = fields << (_W - 1)
 
     # ---- construction ----
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, {UNIT: self.field.one})
+        return Polynomial(self, {0: self.field.one})
 
     def constant(self, c) -> "Polynomial":
         c = self.field.from_int(c) if isinstance(c, int) else c
-        return Polynomial(self, {UNIT: c} if c != self.field.zero else {})
+        return Polynomial(self, {0: c} if c != self.field.zero else {})
 
     def variable(self, name: str) -> "Polynomial":
         return Polynomial(self, {self.mono({name: 1}): self.field.one})
@@ -155,29 +118,68 @@ class PolyRing:
         zero = self.field.zero
         return Polynomial(self, {m: c for m, c in d.items() if c != zero})
 
-    def mono(self, exps: dict):
-        pairs = []
+    def mono(self, exps: dict) -> int:
+        """The monomial with exponents {name: exponent}."""
+        m = 0
         for name, e in exps.items():
             if e < 0:
                 raise RingError(f"negative exponent for {name}")
             if e:
+                if e > MAX_EXPONENT:
+                    raise RingError(
+                        f"exponent {e} of {name} is above {MAX_EXPONENT}")
                 try:
-                    pairs.append((self._rank_of[name], e))
+                    m += e << self._shift_of[name]
                 except KeyError:
                     raise RingError(f"variable {name!r} not in ring") from None
-        pairs.sort(reverse=True)
-        return tuple(pairs)
+        return m
 
     def mono_items(self, mono):
         """(name, exponent) pairs in display order: by family, then index."""
-        items = [(self._name_of[r], e) for r, e in mono]
+        items = [(self._name_of[r], e) for r, e in mono_pairs(mono)]
         items.sort(key=lambda it: _display_key(it[0]))
         return items
 
-    def rank_of(self, name: str) -> int:
-        return self._rank_of[name]
+    def shift_of(self, name: str) -> int:
+        """Bit offset of `name`: its exponent in m is
+        `(m >> shift) & MAX_EXPONENT`, and `e << shift` is name^e."""
+        return self._shift_of[name]
 
-    # ---- moving between rings ----
+    # ---- monomial arithmetic (hot loops inline these) ----
+    def mono_mul(self, a: int, b: int) -> int:
+        m = a + b
+        if m & self.guard:
+            raise ExponentOverflow()
+        return m
+
+    def mono_divides(self, b: int, a: int) -> bool:
+        """True when monomial b divides monomial a."""
+        d = a - b
+        return d >= 0 and not d & self.guard
+
+    def mono_div(self, a: int, b: int) -> int:
+        """a / b; b must divide a."""
+        if not self.mono_divides(b, a):
+            raise RingError("monomial quotient is not a monomial")
+        return a - b
+
+    def mono_lcm(self, a: int, b: int) -> int:
+        guard = self.guard
+        # a field's guard bit survives (a | guard) - b exactly when a >= b
+        # there; no field borrows from the next
+        ge = ((a | guard) - b) & guard
+        pick_a = ge - (ge >> (_W - 1))  # the exponent bits of those fields
+        return (a & pick_a) | (b & ~pick_a)
+
+    @staticmethod
+    def mono_degree(a: int) -> int:
+        d = 0
+        while a:
+            d += a & MAX_EXPONENT
+            a >>= _W
+        return d
+
+    # ---- moving between rings (ranks do not move, so neither do monomials) ----
     def lift(self, poly: "Polynomial", parent: "PolyRing") -> "Polynomial":
         """Reinterpret in `parent`, which extends self by greater variables."""
         k = len(parent.variables) - len(self.variables)
@@ -190,16 +192,15 @@ class PolyRing:
         k = len(self.variables) - len(sub.variables)
         if k < 0 or self.variables[k:] != sub.variables:
             raise RingError("subring must drop a prefix of greatest variables")
-        top = len(sub.variables)
-        for m in poly._d:
-            if m and m[0][0] > top:
-                raise RingError("polynomial involves dropped variables")
+        # the lex-greatest monomial involves a dropped variable if any does
+        if poly._d and max(poly._d) >> (len(sub.variables) * _W):
+            raise RingError("polynomial involves dropped variables")
         return Polynomial(sub, dict(poly._d))
 
     def parse(self, text: str) -> "Polynomial":
         d = {}
         zero = self.field.zero
-        for coeff_text, exps in _parse_terms(text):
+        for coeff_text, exps in parse_terms(text):
             c = self.field.parse(coeff_text)
             m = self.mono(exps)
             c = self.field.add(d.get(m, zero), c)
@@ -305,21 +306,25 @@ class Polynomial:
         a, b = self._d, other._d
         if len(a) > len(b):
             a, b = b, a
+        # an overflowed product is still a unique int, so checking the
+        # monomials that survive cancellation is enough
         if field.char == 2:
             acc = set()
             for ma in a:
-                acc ^= {mono_mul(ma, mb) for mb in b}
+                acc ^= {ma + mb for mb in b}
+            _check_guard(self.ring.guard, acc)
             return Polynomial(self.ring, dict.fromkeys(acc, 1))
         acc = {}
         zero = field.zero
         for ma, ca in a.items():
             for mb, cb in b.items():
-                m = mono_mul(ma, mb)
+                m = ma + mb
                 s = field.add(acc.get(m, zero), field.mul(ca, cb))
                 if s == zero:
                     acc.pop(m, None)
                 else:
                     acc[m] = s
+        _check_guard(self.ring.guard, acc)
         return Polynomial(self.ring, acc)
 
     def scale(self, c) -> "Polynomial":
@@ -336,10 +341,11 @@ class Polynomial:
         if c == field.zero:
             return Polynomial(self.ring, {})
         if c == field.one:
-            return Polynomial(self.ring, {mono_mul(m, mono): x for m, x in self._d.items()})
-        return Polynomial(
-            self.ring, {mono_mul(m, mono): field.mul(c, x) for m, x in self._d.items()}
-        )
+            d = {m + mono: x for m, x in self._d.items()}
+        else:
+            d = {m + mono: field.mul(c, x) for m, x in self._d.items()}
+        _check_guard(self.ring.guard, d)
+        return Polynomial(self.ring, d)
 
     def monic(self) -> "Polynomial":
         if not self._d:
@@ -354,20 +360,6 @@ class Polynomial:
         for _ in range(k):
             out = out * self
         return out
-
-    def evaluate(self, values: dict):
-        """Full evaluation; `values` maps variable name to a field scalar."""
-        field = self.ring.field
-        total = field.zero
-        by_rank = {self.ring._rank_of[n]: v for n, v in values.items()}
-        for m, c in self._d.items():
-            term = c
-            for r, e in m:
-                v = by_rank[r]
-                for _ in range(e):
-                    term = field.mul(term, v)
-            total = field.add(total, term)
-        return total
 
     # ---- structure ----
     def _check(self, other):
@@ -440,7 +432,7 @@ def tokenize(text: str):
     return out
 
 
-def _parse_terms(text: str):
+def parse_terms(text: str):
     """Parse a sum of product terms into (coefficient-text, {name: exp}) pairs.
 
     Grammar: term ((+|-) term)*; term: factor ('*' factor)*;

@@ -16,7 +16,7 @@ from .arrangement import Arrangement, Flat, Relation, relations_for
 from .caps import Caps
 from .context import instance_context
 from .fields import field_to_json
-from .polynomials import Polynomial, PolyRing, RingError
+from .polynomials import MAX_EXPONENT, Polynomial, PolyRing, RingError, mono_pairs
 from .superalg import DZ, ExtElement, ext_mul, xi_from_tdz
 
 
@@ -276,58 +276,79 @@ class ChartRing:
         return "\n".join(lines)
 
 
-def _divide_monomial(chart_ring, s_v, divisors, mono, subset):
-    """Monomial-level division by t_D with localized semantics.
+class _ChartDivision:
+    """Monomial-level division by t_D onto one chart, with localized semantics.
 
     A present t_j factor is consumed; an absent one contributes the inverse
     coordinate z_j; a u_j factor turns into dz_j (index slot unchanged, so no
-    sign).  The result must live in the chart variables.
+    sign).  The result must live in the chart variables.  The exponent
+    fields of both rings are looked up once per chart.
     """
-    exps = dict(mono)  # rank == original index in the t-ring
-    sub = set(subset)
-    out = {}
-    for j in divisors:
-        have = exps.get(j, 0)
-        if have > 0 and j not in sub:
-            if have > 1:
-                raise RingError(f"t{j}^{have} cannot be divided onto the chart")
-            del exps[j]
-        elif have == 0 and j in sub:
-            pass  # u_j / t_j = dz_j; membership in the flat renders it as dz
-        elif have == 0:
-            out[f"z{j}"] = out.get(f"z{j}", 0) + 1
-        else:
-            raise RingError(f"monomial mixes t{j} and u{j} on the chart")
-    for i, e in exps.items():
-        if i in s_v:
+
+    __slots__ = ("ring", "s_v", "t_shift", "z_shift", "kept", "on_flat")
+
+    def __init__(self, t_ring, chart_ring, s_v):
+        self.ring = chart_ring
+        self.s_v = s_v
+        self.t_shift = {}
+        self.z_shift = {j: chart_ring.shift_of(f"z{j}") for j in s_v}
+        self.kept = []  # (t-ring shift, chart shift) of each t_i off the flat
+        self.on_flat = 0  # the exponent bits of the t_i on the flat
+        for name in t_ring.variables:
+            i = int(name[1:])
+            shift = self.t_shift[i] = t_ring.shift_of(name)
+            if i in s_v:
+                self.on_flat |= MAX_EXPONENT << shift
+            else:
+                self.kept.append((shift, chart_ring.shift_of(name)))
+
+    def monomial(self, mono, divisors, subset):
+        out = 0
+        for j in divisors:
+            shift = self.t_shift[j]
+            have = (mono >> shift) & MAX_EXPONENT
+            if have and j not in subset:
+                if have > 1:
+                    raise RingError(f"t{j}^{have} cannot be divided onto the chart")
+                mono -= 1 << shift
+            elif not have and j in subset:
+                pass  # u_j / t_j = dz_j; membership in the flat renders it as dz
+            elif not have:
+                out += 1 << self.z_shift[j]
+            else:
+                raise RingError(f"monomial mixes t{j} and u{j} on the chart")
+        if mono & self.on_flat:
+            i, _ = mono_pairs(mono & self.on_flat)[0]  # rank == index in the t-ring
             raise RingError(f"t{i} survives division on the chart")
-        out[f"t{i}"] = e
-    for j in sub & s_v:
-        if j not in divisors:
-            raise RingError(f"u{j} has no chart expression")
-    return chart_ring.mono(out)
+        for shift, chart_shift in self.kept:
+            out += ((mono >> shift) & MAX_EXPONENT) << chart_shift
+        for j in subset:
+            if j in self.s_v and j not in divisors:
+                raise RingError(f"u{j} has no chart expression")
+        return out
 
 
-def chart_divide(chart_poly_ring, s_v, rel: Relation, element):
+def chart_divide(division: _ChartDivision, rel: Relation, element):
     """Divide a generator by t_{S_V intersect support} on the chart."""
-    divisors = sorted(s_v & set(rel.support))
-    field = chart_poly_ring.field
+    divisors = sorted(division.s_v & set(rel.support))
+    ring = division.ring
+    field = ring.field
 
     def convert(poly_dict, subset):
         d = {}
         for m, c in poly_dict.items():
-            key = _divide_monomial(chart_poly_ring, s_v, divisors, m, subset)
+            key = division.monomial(m, divisors, subset)
             got = field.add(d.get(key, field.zero), c)
             if got == field.zero:
                 d.pop(key, None)
             else:
                 d[key] = got
-        return Polynomial(chart_poly_ring, d)
+        return Polynomial(ring, d)
 
     if isinstance(element, Polynomial):
         return convert(element._d, ())
     entries = {s: convert(p._d, s) for s, p in element._entries.items()}
-    return ExtElement(chart_poly_ring, entries, frozenset(s_v))
+    return ExtElement(ring, entries, frozenset(division.s_v))
 
 
 def chart_ring(
@@ -351,8 +372,9 @@ def chart_ring(
     pres = (
         super_generators(arr, mode, caps) if super else commutative_generators(arr, mode, caps)
     )
+    division = _ChartDivision(t_ring(arr), ring, s_v)
     records = []
     for g in pres.generators:
-        divided = chart_divide(ring, s_v, g.relation, g.element)
+        divided = chart_divide(division, g.relation, g.element)
         records.append(GeneratorRecord(divided, g.relation, g.subset))
     return ChartRing(arr, flat, inverted, super, ring, tuple(records))

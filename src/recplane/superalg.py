@@ -19,11 +19,12 @@ structural.  Exterior squares vanish in every characteristic, including 2.
 from __future__ import annotations
 
 from .polynomials import (
+    MAX_EXPONENT,
     Polynomial,
     PolyRing,
     RingError,
-    _parse_terms,
     format_scalar_factor,
+    parse_terms,
 )
 
 U, DZ, DX = "u", "dz", "dx"
@@ -187,9 +188,9 @@ class ExtElement:
         )
 
     def uses_variable(self, name: str) -> bool:
-        r = self.ring.rank_of(name)
+        shift = self.ring.shift_of(name)
         return any(
-            any(rank == r for rank, _ in m) for p in self._entries.values() for m in p._d
+            (m >> shift) & MAX_EXPONENT for p in self._entries.values() for m in p._d
         )
 
     def sort_key(self):
@@ -284,23 +285,16 @@ def xi_from_tdz(e: ExtElement) -> ExtElement:
     ring = e.ring
     entries: dict = {}
     for s, p in e._entries.items():
-        need = sorted((ring.rank_of(f"t{j}") for j in s), reverse=True)
+        t_s = ring.mono({f"t{j}": 1 for j in s})
         d = {}
         for m, c in p._d.items():
-            exps = dict(m)
-            for r in need:
-                have = exps.get(r, 0)
-                if have <= 0:
-                    name = "*".join(
-                        f"{n}^{x}" if x > 1 else n for n, x in ring.mono_items(m)
-                    )
-                    dzs = "*".join(f"dz{j}" for j in s)
-                    raise UnconvertibleMonomial(f"{name or '1'}*{dzs}")
-                if have == 1:
-                    del exps[r]
-                else:
-                    exps[r] = have - 1
-            d[tuple(sorted(exps.items(), reverse=True))] = c
+            if not ring.mono_divides(t_s, m):
+                name = "*".join(
+                    f"{n}^{x}" if x > 1 else n for n, x in ring.mono_items(m)
+                )
+                dzs = "*".join(f"dz{j}" for j in s)
+                raise UnconvertibleMonomial(f"{name or '1'}*{dzs}")
+            d[m - t_s] = c
         poly = Polynomial(ring, d)
         q = entries.get(s)
         entries[s] = poly if q is None else q + poly
@@ -313,7 +307,7 @@ def parse_ext(ring: PolyRing, text: str, kind=U) -> ExtElement:
     A factor is exterior when it is the name `kind` gives its index.
     """
     entries: dict = {}
-    for coeff_text, exps in _parse_terms(text):
+    for coeff_text, exps in parse_terms(text):
         c = ring.field.parse(coeff_text)
         indices = []
         poly_exps = {}

@@ -15,7 +15,7 @@ from recplane.groebner import (
     reduce_basis,
     s_polynomial,
 )
-from recplane.polynomials import PolyRing, RingError
+from recplane.polynomials import PolyRing, RingError, mono_pairs
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -216,7 +216,7 @@ def _as_monic_set(pairs, p):
 
 def _dense_terms(poly):
     n = len(poly.ring.variables)
-    return [(tuple(dict(m).get(n - i, 0) for i in range(n)), c)
+    return [(tuple(dict(mono_pairs(m)).get(n - i, 0) for i in range(n)), c)
             for m, c in poly.terms]
 
 

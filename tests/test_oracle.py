@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from recplane.arrangement import Arrangement, circuits, closure, flats
 from recplane.caps import Caps, CapExceeded
 from recplane.fields import PrimeField, RationalField
-from recplane.oracle import _evaluate_at, _rank_images, _vanishing_count
+from recplane.oracle import _evaluate_at, _rank_images, _unpacked, _vanishing_count
+from recplane.polynomials import PolyRing
 from recplane.groebner import ideal_equal, is_groebner
 from recplane.modules import is_module_groebner, module_groebner, module_normal_form
 from recplane.oracle import (
@@ -568,7 +569,8 @@ def test_count_points_cap(four_cycle):
 def _brute_force_count(field, m, gens):
     """Every point of F_p^m, every generator at every point."""
     return sum(
-        all(_evaluate_at(g, point) for g in gens)
+        all(_evaluate_at(field, _unpacked(g), point) == field.zero
+            for g in gens)
         for point in itertools.product(range(field.char), repeat=m)
     )
 
@@ -588,6 +590,13 @@ def test_count_points_matches_brute_force(arr):
     assert rep.details["lhs"] == _brute_force_count(arr.field, arr.m,
                                                      kernel_I(arr))
     assert rep.ok
+
+
+def test_evaluate_at():
+    r = PolyRing(F2, ("t3", "t2", "t1"))
+    terms = _unpacked(r.parse("t1*t2 + t3"))
+    assert _evaluate_at(F2, terms, [1, 1, 1]) == 0  # point[k] is rank k + 1
+    assert _evaluate_at(F2, terms, [1, 0, 1]) == 1
 
 
 def test_vanishing_count_constants_and_no_coordinates():

@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recplane.fields import PrimeField, RationalField
-from recplane.polynomials import PolyRing, RingError
+from recplane.groebner import normal_form
+from recplane.modules import module_normal_form
+from recplane.polynomials import MAX_EXPONENT, PolyRing, RingError, mono_pairs
+from recplane.superalg import ExtElement
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -66,13 +69,6 @@ def test_zero_formatting():
     assert str(r.constant(-1)) == "-1"
 
 
-def test_evaluate():
-    r = t_ring(F2, 3)
-    p = r.parse("t1*t2 + t3")
-    assert p.evaluate({"t1": 1, "t2": 1, "t3": 1}) == 0
-    assert p.evaluate({"t1": 1, "t2": 0, "t3": 1}) == 1
-
-
 def _random_poly(r, coeffs, exps):
     d = {}
     for c, e in zip(coeffs, exps):
@@ -114,3 +110,155 @@ def test_serialize_parse_identity(da):
     r = t_ring(Q, 3)
     p = _random_poly(r, [c for c, _ in da], [e for _, e in da])
     assert r.parse(str(p)) == p
+
+
+# -- packed monomials against a sparse-tuple reference ------------------------
+#
+# The reference monomial is a tuple of (rank, exponent) pairs, rank 1 the
+# least variable, sorted by descending rank: under tuple comparison that is
+# the lex order too.
+
+def _ref_mul(a, b):
+    d = dict(a)
+    for r, e in b:
+        d[r] = d.get(r, 0) + e
+    return tuple(sorted(d.items(), reverse=True))
+
+
+def _ref_divides(b, a):
+    d = dict(a)
+    return all(d.get(r, 0) >= e for r, e in b)
+
+
+def _ref_div(a, b):
+    d = dict(a)
+    for r, e in b:
+        d[r] -= e
+    return tuple(sorted(((r, e) for r, e in d.items() if e), reverse=True))
+
+
+def _ref_lcm(a, b):
+    d = dict(a)
+    for r, e in b:
+        d[r] = max(d.get(r, 0), e)
+    return tuple(sorted(d.items(), reverse=True))
+
+
+def _ref_degree(a):
+    return sum(e for _, e in a)
+
+
+def _packed(ring, ref):
+    n = len(ring.variables)
+    return ring.mono({ring.variables[n - r]: e for r, e in ref})
+
+
+def _ref_poly_mul(field, a, b):
+    acc = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = _ref_mul(ma, mb)
+            acc[m] = field.add(acc.get(m, field.zero), field.mul(ca, cb))
+    return {m: c for m, c in acc.items() if c != field.zero}
+
+
+exponent = st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT))
+
+
+@st.composite
+def ref_monomials(draw, n, exps=exponent):
+    vec = draw(st.lists(exps, min_size=n, max_size=n))
+    return tuple((n - i, e) for i, e in enumerate(vec) if e)
+
+
+@st.composite
+def ring_and_monomials(draw):
+    n = draw(st.integers(1, 12))
+    ring = PolyRing(Q, tuple(f"v{i}" for i in range(n, 0, -1)))
+    return ring, draw(ref_monomials(n)), draw(ref_monomials(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_and_monomials())
+def test_packed_monomials_match_tuple_reference(case):
+    ring, a, b = case
+    pa, pb = _packed(ring, a), _packed(ring, b)
+    assert mono_pairs(pa) == list(a)
+    assert (pa < pb) == (a < b)
+    assert (pa == pb) == (a == b)
+    prod = _ref_mul(a, b)
+    if all(e <= MAX_EXPONENT for _, e in prod):
+        assert ring.mono_mul(pa, pb) == _packed(ring, prod)
+    else:
+        with pytest.raises(RingError):
+            ring.mono_mul(pa, pb)
+    assert ring.mono_divides(pb, pa) == _ref_divides(b, a)
+    if _ref_divides(b, a):
+        assert ring.mono_div(pa, pb) == _packed(ring, _ref_div(a, b))
+    else:
+        with pytest.raises(RingError):
+            ring.mono_div(pa, pb)
+    assert ring.mono_lcm(pa, pb) == _packed(ring, _ref_lcm(a, b))
+    assert ring.mono_degree(pa) == _ref_degree(a)
+
+
+@st.composite
+def polynomial_products(draw):
+    field = draw(st.sampled_from([F2, PrimeField(5), Q]))
+    n = draw(st.integers(1, 12))
+    ring = PolyRing(field, tuple(f"v{i}" for i in range(n, 0, -1)))
+    # mostly small exponents; MAX_EXPONENT - 1 makes some products overflow
+    exps = st.integers(0, 4).map(lambda e: MAX_EXPONENT - 1 if e == 4 else e)
+
+    def poly():
+        terms = draw(st.lists(st.tuples(ref_monomials(n, exps),
+                                        st.integers(-4, 4)), max_size=5))
+        d = {}
+        for m, c in terms:
+            d[m] = field.add(d.get(m, field.zero), field.from_int(c))
+        return {m: c for m, c in d.items() if c != field.zero}
+
+    return ring, poly(), poly()
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomial_products())
+def test_polynomial_product_matches_tuple_reference(case):
+    ring, a, b = case
+    pa = ring.poly({_packed(ring, m): c for m, c in a.items()})
+    pb = ring.poly({_packed(ring, m): c for m, c in b.items()})
+    want = _ref_poly_mul(ring.field, a, b)
+    if all(e <= MAX_EXPONENT for m in want for _, e in m):
+        assert pa * pb == ring.poly({_packed(ring, m): c for m, c in want.items()})
+    else:
+        with pytest.raises(RingError):
+            pa * pb
+
+
+def test_products_past_the_largest_exponent_raise():
+    """On 80 variables, far past any fixed-width guard mask, at both ends."""
+    ring = PolyRing(F2, tuple(f"v{i}" for i in range(80, 0, -1)))
+    with pytest.raises(RingError):
+        ring.mono({"v80": MAX_EXPONENT + 1})
+    with pytest.raises(RingError):
+        ring.mono({"v1": MAX_EXPONENT + 1})
+    for name in ("v80", "v1"):
+        full = ring.term(1, {name: MAX_EXPONENT, "v40": 1})
+        x = ring.variable(name)
+        with pytest.raises(RingError):
+            full * x
+        with pytest.raises(RingError):
+            x * full
+        with pytest.raises(RingError):
+            full.mul_term(1, ring.mono({name: 1}))
+        assert (full * ring.variable("v40")).lm() == ring.mono(
+            {name: MAX_EXPONENT, "v40": 2})
+    # a reducer's other terms hold no more of the greatest variable than its
+    # leading term, so reduction can overflow any variable but that one
+    for big, small in (("v80", "v79"), ("v2", "v1")):
+        f = ring.term(1, {big: 1, small: MAX_EXPONENT})
+        g = ring.variable(big) + ring.variable(small)
+        with pytest.raises(RingError):
+            normal_form(f, [g])
+        with pytest.raises(RingError):
+            module_normal_form(ExtElement.from_poly(f), [ExtElement.from_poly(g)])
