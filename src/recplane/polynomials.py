@@ -363,13 +363,14 @@ class Polynomial:
 
     # ---- structure ----
     def _check(self, other):
-        if other.ring != self.ring:
+        # rings are shared objects, so the by-value test is rarely reached
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingError("polynomials from different rings")
 
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
-            and other.ring == self.ring
+            and (other.ring is self.ring or other.ring == self.ring)
             and other._d == self._d
         )
 

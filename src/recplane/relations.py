@@ -1,10 +1,18 @@
 """Relation polynomials and the presentations they generate.
 
-For a dependency L = a_1 z_{i_1} + ... + a_k z_{i_k} = 0 the commutative
-relation P_L clears denominators in sum(a_j / t_{i_j}) = 0; its odd
-refinements mix t and u variables, one for each subset S of the support.
-Presentations collect these generators, and chart rings carry the localized
-form living on one piece of the compactification.
+For a dependency L = a_1 z_{i_1} + ... + a_k z_{i_k} = 0 with support K the
+commutative relation P_L clears denominators in sum(a_j / t_{i_j}) = 0; its
+odd refinements P_{L,S} mix t and u variables, one for each subset S of K.
+The paper builds P_{L,S} from P_L dz_S and one dL correction per j in S,
+then turns t_j dz_j into u_j; `p_of_LS` writes the result down in closed
+form instead,
+
+    P_{L,S} = sum_{i in K-S} a_i t_{K-(S+i)} (u_S - sum_{j in S} e_{j,i} u_{S-j+i}),
+
+with e_{j,i} = (-1)^#{s in S strictly between i and j}.  Q_{L,S} keeps the
+dz construction, so checking Lemma 7 compares the two.  Presentations
+collect these generators, and chart rings carry the localized form living
+on one piece of the compactification.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from .caps import Caps
 from .context import instance_context
 from .fields import field_to_json
 from .polynomials import MAX_EXPONENT, Polynomial, PolyRing, RingError, mono_pairs
-from .superalg import DZ, ExtElement, ext_mul, xi_from_tdz
+from .superalg import DZ, U, ExtElement, ext_mul, xi_from_tdz
 
 
 @lru_cache(maxsize=None)
@@ -34,13 +42,18 @@ def t_monomial(ring: PolyRing, indices) -> Polynomial:
     return ring.term(1, {f"t{i}": 1 for i in indices})
 
 
+def _t_bits(ring: PolyRing, support) -> dict:
+    """{i: the monomial t_i} over the support."""
+    return {i: 1 << ring.shift_of(f"t{i}") for i in support}
+
+
 def p_of_L(ring: PolyRing, rel: Relation) -> Polynomial:
     """sum_j a_j * t_{support minus i_j}."""
-    support = set(rel.support)
-    out = ring.zero()
-    for i, a in zip(rel.support, rel.coeffs):
-        out = out + ring.term(a, {f"t{j}": 1 for j in support if j != i})
-    return out
+    bits = _t_bits(ring, rel.support)
+    full = sum(bits.values())
+    return Polynomial(
+        ring, {full - bits[i]: a for i, a in zip(rel.support, rel.coeffs)}
+    )
 
 
 def d_of_L(ring: PolyRing, rel: Relation) -> ExtElement:
@@ -54,27 +67,41 @@ def _dz_wedge(ring: PolyRing, subset) -> ExtElement:
 
 
 def p_of_LS(ring: PolyRing, rel: Relation, subset) -> ExtElement:
-    """The odd relation for (L, S).
+    """The odd relation for (L, S), from its closed form.
 
-    Built as P_L dz_S minus, for each position s in S, the correction
-    t_{|L| minus j_s} * dz_{j_1}..dz_{j_{s-1}} dL dz_{j_{s+1}}..dz_{j_l},
-    then converted into the u-variables.  The conversion cannot fail here;
-    offending dz-only monomials cancel between the two parts.
+    With K the support, a_i the coefficients and t_X the product of t_k over
+    X, P_{L,S} is the sum over i in K minus S of
+
+        a_i t_{K-(S+i)} (u_S - sum_{j in S} e_{j,i} u_{S-j+i}),
+
+    where e_{j,i} is -1 to the number of s in S strictly between i and j:
+    the sign that sorts dz_{S<j} dz_i dz_{S>j}.  This is the paper's
+    P_L dz_S minus, for each j in S, t_{K-j} dz_{S<j} dL dz_{S>j}, with
+    t_j dz_j turned into u_j: dL only contributes its i outside S, and the
+    i = j corrections cancel the i in S part of P_L dz_S.  No two terms
+    share a label and monomial, so there are |K-S| (|S|+1) of them, with
+    coefficients +-a_i; S = K gives zero.
     """
     S = tuple(sorted(subset))
     if not set(S) <= set(rel.support):
         raise ValueError("subset must lie inside the relation support")
-    support = set(rel.support)
-    base = ext_mul(ExtElement.from_poly(p_of_L(ring, rel), DZ), _dz_wedge(ring, S))
-    dL = d_of_L(ring, rel)
-    total = base
-    for s_pos, j in enumerate(S):
-        acc = _dz_wedge(ring, S[:s_pos])
-        acc = ext_mul(acc, dL)
-        acc = ext_mul(acc, _dz_wedge(ring, S[s_pos + 1:]))
-        correction = acc.poly_mul(t_monomial(ring, sorted(support - {j})))
-        total = total - correction
-    return xi_from_tdz(total)
+    neg = ring.field.neg
+    bits = _t_bits(ring, rel.support)
+    rest = sum(bits.values()) - sum(bits[j] for j in S)  # t_{K-S}
+    top = {}
+    entries = {S: top}
+    for i, a in zip(rel.support, rel.coeffs):
+        if i in S:
+            continue
+        mono = rest - bits[i]
+        top[mono] = a
+        below = sum(1 for s in S if s < i)  # the slot of i among S
+        for pos, j in enumerate(S):
+            # s in S strictly between i and j: below - pos - 1 or pos - below
+            odd = (below - pos - 1 if j < i else pos - below) & 1
+            label = tuple(sorted(S[:pos] + S[pos + 1:] + (i,)))
+            entries[label] = {mono: a if odd else neg(a)}
+    return ExtElement(ring, {s: Polynomial(ring, d) for s, d in entries.items()}, U)
 
 
 def q_of_LS(ring: PolyRing, rel: Relation, subset) -> ExtElement:

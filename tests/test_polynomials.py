@@ -47,6 +47,17 @@ def test_mixed_ring_rejected():
     b = t_ring(Q, 3).parse("t1")
     with pytest.raises(RingError):
         a + b
+    with pytest.raises(RingError):
+        a * b
+    assert a != b
+
+
+def test_equal_rings_that_are_distinct_objects_mix():
+    r1, r2 = PolyRing(Q, ("t2", "t1")), PolyRing(Q, ("t2", "t1"))
+    assert r1 is not r2
+    a, b = r1.parse("t1 + t2"), r2.parse("t2 + t1")
+    assert a == b
+    assert a - b == r1.zero()
 
 
 def test_parse_format_roundtrip_canonical():

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from recplane.arrangement import Arrangement, circuits, closure
+from recplane.arrangement import Arrangement, circuits, closure, relations_for
 from recplane.fields import PrimeField, RationalField
 from recplane.polynomials import RingError, mono_pairs
 from recplane.relations import (
@@ -14,10 +15,48 @@ from recplane.relations import (
     super_generators,
     t_ring,
 )
-from recplane.superalg import DZ, ExtElement, ext_mul, parse_ext
+from recplane.superalg import DZ, ExtElement, ext_mul, parse_ext, xi_from_tdz
 
 F2 = PrimeField(2)
 Q = RationalField()
+
+
+def _p_of_L_by_sum(ring, rel):
+    """P_L as a sum of one-term polynomials, one per support index."""
+    out = ring.zero()
+    for i, a in zip(rel.support, rel.coeffs):
+        out = out + ring.term(a, {f"t{j}": 1 for j in rel.support if j != i})
+    return out
+
+
+def _p_of_LS_by_dz(ring, rel, subset):
+    """P_{L,S} as the paper builds it: P_L dz_S minus, for each j in S, the
+    correction t_{K minus j} dz_{S<j} dL dz_{S>j}, then t_j dz_j -> u_j."""
+    S = tuple(sorted(subset))
+
+    def wedge(indices):
+        return ExtElement(ring, {tuple(indices): ring.one()}, DZ)
+
+    dL = d_of_L(ring, rel)
+    total = ext_mul(ExtElement.from_poly(_p_of_L_by_sum(ring, rel), DZ), wedge(S))
+    for pos, j in enumerate(S):
+        acc = ext_mul(ext_mul(wedge(S[:pos]), dL), wedge(S[pos + 1:]))
+        t_rest = ring.term(1, {f"t{k}": 1 for k in rel.support if k != j})
+        total = total - acc.poly_mul(t_rest)
+    return xi_from_tdz(total)
+
+
+@st.composite
+def relation_families(draw):
+    """A small arrangement with its relations: every relation over F_p,
+    the circuits over Q (whose relation space is not finite)."""
+    field = draw(st.sampled_from((F2, PrimeField(3), PrimeField(5), Q)))
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2).map(field.from_int)
+    form = st.lists(entry, min_size=n, max_size=n).filter(
+        lambda row: any(x != field.zero for x in row))
+    arr = Arrangement(field, n, draw(st.lists(form, min_size=1, max_size=5)))
+    return arr, relations_for(arr, "circuits" if field == Q else "all")
 
 
 def test_p_of_L_three_terms(triangle_q):
@@ -67,6 +106,49 @@ def test_p_of_LS_worked_examples(triangle_q):
     )
     assert p_of_LS(ring, rel, (1, 2)) == parse_ext(ring, "u1*u2 + u2*u3 + u3*u1")
     assert p_of_LS(ring, rel, ()) == ExtElement.from_poly(p_of_L(ring, rel))
+
+
+@settings(max_examples=120, deadline=None)
+@given(relation_families())
+def test_closed_forms_match_the_paper_construction(case):
+    """P_L in one pass equals the sum of its terms, and the closed form of
+    P_{L,S} equals the dz construction, for every subset of every relation;
+    so does their text."""
+    arr, rels = case
+    ring = t_ring(arr)
+    for rel in rels:
+        got, want = p_of_L(ring, rel), _p_of_L_by_sum(ring, rel)
+        assert got == want
+        assert str(got) == str(want)
+        for S in subsets_of(rel.support):
+            got, want = p_of_LS(ring, rel, S), _p_of_LS_by_dz(ring, rel, S)
+            assert got == want
+            assert str(got) == str(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation_families())
+def test_p_of_LS_shape(case):
+    """|K-S| (|S|+1) terms; the one with monomial t_{K-(S+i)} has
+    coefficient +-a_i; Grassmann degree |S| and t-degree |K|-1-|S|."""
+    arr, rels = case
+    ring = t_ring(arr)
+    field = arr.field
+    for rel in rels:
+        coeff_of = dict(zip(rel.support, rel.coeffs))
+        k = rel.size()
+        for S in subsets_of(rel.support):
+            xi = p_of_LS(ring, rel, S)
+            terms = [(s, m, c) for s, p in xi.entries.items() for m, c in p.terms]
+            assert len(terms) == (k - len(S)) * (len(S) + 1)
+            for s, m, c in terms:
+                assert len(s) == len(S)
+                items = ring.mono_items(m)
+                assert all(e == 1 for _, e in items)
+                t_indices = {int(name[1:]) for name, _ in items}
+                assert len(t_indices) == k - 1 - len(S)
+                (i,) = set(rel.support) - set(S) - t_indices
+                assert c in (coeff_of[i], field.neg(coeff_of[i]))
 
 
 def test_p_of_LS_full_support_vanishes(triangle_q, four_cycle):
