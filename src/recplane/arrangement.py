@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .caps import Caps
-from .fields import FieldError, field_from_json, field_to_json
+from .fields import FieldError, field_from_json, field_to_json, json_int
 
 
 class ParallelFormsWarning(UserWarning):
@@ -120,7 +120,7 @@ class Arrangement:
     def from_json(data: dict) -> "Arrangement":
         try:
             field = field_from_json(data["field"])
-            n = int(data["n"])
+            n = json_int(data["n"], "n")
             rows = data["hyperplanes"]
         except (KeyError, TypeError, FieldError) as exc:
             raise SpecError(f"bad arrangement spec: {exc}") from exc

@@ -128,13 +128,18 @@ def emit(args, payload, text_lines) -> None:
             print(line)
 
 
-def _parse_indices(text):
+def _parse_indices(text, m: int):
+    """The comma-separated form indices of `text`, each in 1..m."""
     if not text:
         return ()
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
+        indices = tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise SpecError(f"bad index list {text!r}") from exc
+    for i in indices:
+        if not 1 <= i <= m:
+            raise SpecError(f"index {i} is not a form index 1..{m}")
+    return indices
 
 
 def run(argv=None) -> int:
@@ -180,6 +185,8 @@ def run(argv=None) -> int:
         return EXIT_PASS if rep.ok else EXIT_FAIL
 
     if args.command == "verify":
+        if args.grassmann is not None and args.grassmann < 0:
+            raise SpecError("--grassmann must be nonnegative")
         rep = _run_check(arr, args, caps)
         emit(args, rep.to_json, lambda: _report_lines(rep))
         return EXIT_PASS if rep.ok else EXIT_FAIL
@@ -198,10 +205,10 @@ def run(argv=None) -> int:
 
     if args.command == "charts":
         if args.flat is not None:
-            target = [closure(arr, _parse_indices(args.flat))]
+            target = [closure(arr, _parse_indices(args.flat, arr.m))]
         else:
             target = flats(arr, caps)
-        invert = _parse_indices(args.invert)
+        invert = _parse_indices(args.invert, arr.m)
 
         def charts():
             # one chart at a time: only its rendered form is kept
@@ -251,11 +258,11 @@ def _hilbert_lines(tables, agree):
 def _run_check(arr, args, caps):
     check = args.check
     if check == "theorem1":
-        return verify_theorem1(arr, caps=caps)
+        return verify_theorem1(arr)
     if check == "theorem2":
-        return verify_theorem2(arr, rmax=args.grassmann, caps=caps)
+        return verify_theorem2(arr, rmax=args.grassmann)
     if check == "minimal":
-        return verify_minimal(arr, caps=caps)
+        return verify_minimal(arr, caps)
     if check == "stratification":
         return count_points(arr, caps)
     if check == "lemma7":

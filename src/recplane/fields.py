@@ -68,7 +68,10 @@ class PrimeField:
     def parse(self, text: str):
         if "/" in text:
             num, den = text.split("/", 1)
-            return self.div(int(num) % self.p, int(den) % self.p)
+            den = int(den) % self.p
+            if den == 0:
+                raise FieldError(f"{text!r} divides by zero in F_{self.p}")
+            return self.div(int(num) % self.p, den)
         return int(text) % self.p
 
     def fmt(self, a) -> str:
@@ -122,7 +125,10 @@ class RationalField:
         return Fraction(a) / b
 
     def parse(self, text: str):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError as exc:
+            raise FieldError(f"{text!r} divides by zero") from exc
 
     def fmt(self, a) -> str:
         return str(a)
@@ -137,6 +143,13 @@ class RationalField:
         return "RationalField()"
 
 
+def json_int(value, name: str) -> int:
+    """A JSON integer; bool is a subclass of int, and floats would truncate."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FieldError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def field_to_json(field) -> dict:
     if isinstance(field, PrimeField):
         return {"type": "prime", "p": field.p}
@@ -146,7 +159,7 @@ def field_to_json(field) -> dict:
 def field_from_json(data: dict):
     kind = data.get("type")
     if kind == "prime":
-        return PrimeField(int(data["p"]))
+        return PrimeField(json_int(data["p"], "p"))
     if kind == "rational":
         return RationalField()
     raise FieldError(f"unknown field type {kind!r}")

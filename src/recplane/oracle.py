@@ -9,11 +9,15 @@ check trusts the construction it is checking.
 
 The span side of `verify_theorem2`, the circuit span of `verify_minimal`
 and the per-circuit bases of `verify_lemma7` are the Grassmann-degree
-pieces of an ideal, built one degree from the last (`_grassmann_bases`):
+pieces of an ideal, built one degree from the last (`_grassmann_chain`):
 the degree-r piece is spanned by the u_j multiples of the degree-(r-1)
-basis and the generators of degree r.  A presentation's chain is kept in
-the instance context and built only as far as a check asks.  The kernel
-side stays the independent derivation: elimination, then preimages.
+basis and the generators of degree r.  A presentation carries its own
+chain (`Presentation.bases`), built only as far as a check asks; since the
+instance context keeps the presentations, each check on an arrangement
+extends what an earlier one built.  The kernel side stays the independent
+derivation: elimination, then preimages.  `verify_lemma7` reads the
+P_{L,S} of the circuit presentation that `verify_theorem2` checks and
+builds each Q_{L,S} anew from dL and dz_S.
 
 Each of these checks is one pass over the degrees.  A `verify_theorem2`
 degree fails exactly when its two reduced bases differ, and only then is
@@ -22,9 +26,10 @@ all-family generators of each degree modulo the circuit chain, and every
 u_B multiple once some degree has failed.
 
 The substitutions of one call group (one degree of the `hilbert` rank step,
-or one `verify_charts` call) share the forms, the dz expansions and the
-products of form powers built so far.  That state lives only as long as
-the call; it is not kept in the instance context, to bound peak memory.
+or one `verify_charts` call) share the forms, the dx expansions of the dz
+wedges and the products of form powers built so far.  That state lives
+only as long as the call; it is not kept in the instance context, to bound
+peak memory.
 """
 
 from __future__ import annotations
@@ -57,10 +62,8 @@ from .relations import (
     _chart_poly_ring,
     chart_ring,
     commutative_generators,
-    odd_relation,
     p_of_L,
     q_of_LS,
-    subsets_of,
     super_generators,
     t_ring,
     t_monomial,
@@ -353,13 +356,9 @@ def _instance_kernel(arr: Arrangement):
 
 def _dz_expansion(arr: Arrangement, indices):
     """dz_I in the basis dz_{I'}, I' inside the chosen basis indices."""
-    table = instance_context(arr).dz_expansions
-    got = table.get(indices)
-    if got is None:
-        coords = arr.basis_coordinates()
-        rows = [coords[i - 1] for i in indices]
-        got = table[indices] = wedge_expand(arr.field, rows, arr.basis_indices)
-    return got
+    coords = arr.basis_coordinates()
+    rows = [coords[i - 1] for i in indices]
+    return wedge_expand(arr.field, rows, arr.basis_indices)
 
 
 def degree_module_columns(arr: Arrangement, r: int):
@@ -376,11 +375,10 @@ def degree_module_columns(arr: Arrangement, r: int):
     return subsets, columns
 
 
-def degree_module_relations(arr: Arrangement, r: int, igens=None):
+def degree_module_relations(arr: Arrangement, r: int):
     """Generators g * e_{I'} of the relation submodule in degree r."""
     ring = t_ring(arr)
-    if igens is None:
-        igens = _instance_kernel(arr)
+    igens = _instance_kernel(arr)
     out = []
     for I_prime in itertools.combinations(arr.basis_indices, r):
         for g in igens:
@@ -388,18 +386,21 @@ def degree_module_relations(arr: Arrangement, r: int, igens=None):
     return out
 
 
-def kernel_K_degree(arr: Arrangement, r: int, igens=None):
-    """Degree-r generators of Ker(psi) as u-encoded elements.
+def kernel_K_degree(arr: Arrangement, r: int):
+    """The reduced basis of the degree-r piece of Ker(psi), u-encoded.
 
-    Computed as the preimage of the relation submodule under the map sending
-    the u-basis to t_I * dz_I, so the only upstream input is the elimination
-    kernel; at r = 0 this reproduces it.
+    Up to the rank it is computed as the preimage of the relation submodule
+    under the map sending the u-basis to t_I * dz_I, so the only upstream
+    input is the elimination kernel; at r = 0 this reproduces it.  Beyond
+    the rank every dz_I is zero, so the piece is everything of degree r.
     """
     ring = t_ring(arr)
+    if r > arr.rank:
+        return module_groebner([
+            ExtElement(ring, {I: ring.one()})
+            for I in itertools.combinations(range(1, arr.m + 1), r)])
     subsets, columns = degree_module_columns(arr, r)
-    if not subsets:
-        return []
-    relmod = degree_module_relations(arr, r, igens)
+    relmod = degree_module_relations(arr, r)
     rows = module_preimage(columns, relmod)
     return module_groebner([ExtElement(ring, dict(zip(subsets, vec))) for vec in rows])
 
@@ -417,7 +418,7 @@ def _u_multiples(gens, m: int, r: int):
                 yield prod
 
 
-def _grassmann_bases(gens, m: int, rmax: int, bases=None):
+def _grassmann_chain(gens, m: int, rmax: int, bases=None):
     """Reduced bases G_0..G_rmax of the Grassmann-degree pieces of the ideal
     that the nonzero, Grassmann-homogeneous elements `gens` generate.
 
@@ -439,21 +440,10 @@ def _grassmann_bases(gens, m: int, rmax: int, bases=None):
     return bases
 
 
-def _presentation_bases(arr: Arrangement, pres, caps: Caps | None,
-                        rmax: int):
-    """`_grassmann_bases` of an odd presentation, up to degree rmax.
-
-    The chain is kept in the instance context under the presentation's own
-    key (super, mode, caps), so each check extends what an earlier one
-    built.  It is rebuilt when that key now yields other generators.
-    """
-    table = instance_context(arr).grassmann_bases
-    key = (pres.super, pres.mode, caps)
-    got = table.get(key)
-    if got is None or got[0] is not pres.generators:
-        got = table[key] = (pres.generators, [])
+def _presentation_bases(pres, rmax: int):
+    """The chain `pres.bases` of an odd presentation, extended up to rmax."""
     gens = [g.element for g in pres.generators if not g.element.is_zero()]
-    return _grassmann_bases(gens, arr.m, rmax, got[1])
+    return _grassmann_chain(gens, pres.arrangement.m, rmax, pres.bases)
 
 
 def _span_witness(pres, basis, rhs, r: int) -> str:
@@ -475,12 +465,11 @@ def _span_witness(pres, basis, rhs, r: int) -> str:
 # -- instance-level theorem checks ---------------------------------------------
 
 
-def verify_theorem1(arr: Arrangement, mode: str = "circuits",
-                    caps: Caps | None = None) -> Report:
-    """Elimination kernel against the commutative generator family."""
+def verify_theorem1(arr: Arrangement) -> Report:
+    """Elimination kernel against the commutative circuit generators."""
     label = instance_label(arr)
     ker = kernel_I(arr)
-    pres = commutative_generators(arr, mode, caps)
+    pres = commutative_generators(arr)
     gens = [g.element for g in pres.generators]
     ok = ideal_equal(ker, gens)
     witnesses = []
@@ -488,30 +477,21 @@ def verify_theorem1(arr: Arrangement, mode: str = "circuits",
         witnesses.append({"kernel": [str(g) for g in ker],
                           "generators": [str(g) for g in gens]})
     return Report("theorem1", label, "pass" if ok else "fail", witnesses,
-                  {"mode": mode, "kernel_size": len(ker), "generators": len(gens)})
+                  {"mode": pres.mode, "kernel_size": len(ker),
+                   "generators": len(gens)})
 
 
-def verify_theorem2(arr: Arrangement, mode: str = "circuits",
-                    rmax: int | None = None, caps: Caps | None = None) -> Report:
-    """Per-degree module equality of the generated ideal and Ker(psi)."""
+def verify_theorem2(arr: Arrangement, rmax: int | None = None) -> Report:
+    """Per-degree module equality of the circuit ideal and Ker(psi)."""
     label = instance_label(arr)
     rmax = arr.m if rmax is None else rmax
-    igens = _instance_kernel(arr)
-    pres = super_generators(arr, mode, caps)
-    bases = _presentation_bases(arr, pres, caps, rmax)
+    pres = super_generators(arr)
+    bases = _presentation_bases(pres, rmax)
     degrees = []
     witnesses = []
     ok = True
     for r in range(rmax + 1):
-        if r <= arr.rank:
-            # a reduced basis already
-            rhs = kernel_K_degree(arr, r, igens)
-        else:
-            # beyond the rank everything of this degree is a relation
-            ring = t_ring(arr)
-            rhs = module_groebner([
-                ExtElement(ring, {I: ring.one()})
-                for I in itertools.combinations(range(1, arr.m + 1), r)])
+        rhs = kernel_K_degree(arr, r)  # a reduced basis already
         equal = bases[r] == rhs
         degrees.append({"r": r, "status": "pass" if equal else "fail"})
         if not equal:
@@ -519,7 +499,7 @@ def verify_theorem2(arr: Arrangement, mode: str = "circuits",
             witnesses.append({"r": r,
                               "witness": _span_witness(pres, bases[r], rhs, r)})
     return Report("theorem2", label, "pass" if ok else "fail", witnesses,
-                  {"mode": mode, "degrees": degrees})
+                  {"mode": pres.mode, "degrees": degrees})
 
 
 def verify_minimal(arr: Arrangement, caps: Caps | None = None) -> Report:
@@ -537,7 +517,7 @@ def verify_minimal(arr: Arrangement, caps: Caps | None = None) -> Report:
     if arr.field.char == 0:
         raise FieldError("minimality check enumerates relations over F_p")
     ok_i, witnesses = _minimal_ideal(arr, caps)
-    sup_c = super_generators(arr, "circuits", caps)
+    sup_c = super_generators(arr)
     sup_a = super_generators(arr, "all", caps)
     circuit_keys = {g.element.sort_key() for g in sup_c.generators}
     todo = [g for g in sup_a.generators if not g.element.is_zero()
@@ -551,7 +531,7 @@ def verify_minimal(arr: Arrangement, caps: Caps | None = None) -> Report:
         gens = todo if failed else by_degree.get(r, ())
         witness = None
         if gens:
-            basis = _presentation_bases(arr, sup_c, caps, r)[r]
+            basis = _presentation_bases(sup_c, r)[r]
             witness = next((c for c in _u_multiples(gens, arr.m, r)
                             if not module_normal_form(c, basis).is_zero()),
                            None)
@@ -566,7 +546,7 @@ def verify_minimal(arr: Arrangement, caps: Caps | None = None) -> Report:
 
 def _minimal_ideal(arr: Arrangement, caps: Caps | None):
     """(ok, witnesses): the all-family P_L lie in the circuit ideal."""
-    pres_c = commutative_generators(arr, "circuits", caps)
+    pres_c = commutative_generators(arr)
     pres_a = commutative_generators(arr, "all", caps)
     gb_i = groebner_ideal([g.element for g in pres_c.generators])
     for g in pres_a.generators:
@@ -576,17 +556,21 @@ def _minimal_ideal(arr: Arrangement, caps: Caps | None):
 
 
 def verify_lemma7(arr: Arrangement) -> Report:
-    """The Q-element identities and their reduction to zero, per circuit."""
-    from .arrangement import circuits as circuits_of
+    """The Q-element identities and their reduction to zero, per circuit.
 
+    The P_{L,S} are those of the circuit presentation that theorem2 checks,
+    grouped by circuit; each Q_{L,S} is built anew from dL and dz_S.
+    """
     label = instance_label(arr)
     ring = t_ring(arr)
+    by_relation: dict = {}
+    for g in super_generators(arr).generators:
+        by_relation.setdefault(g.relation, {})[g.subset] = g.element
     witnesses = []
     checked = 0
-    for rel in circuits_of(arr):
+    for rel, plist in by_relation.items():
         bases: list = []
         i1 = rel.support[0]
-        plist = {S: odd_relation(arr, rel, S) for S in subsets_of(rel.support)}
         gens = [p for p in plist.values() if not p.is_zero()]
         u1 = ExtElement.generator(ring, i1)
         base = ext_mul(u1, ExtElement.from_poly(p_of_L(ring, rel))) - plist[
@@ -595,19 +579,19 @@ def verify_lemma7(arr: Arrangement) -> Report:
         if base != q_of_LS(ring, rel, ()):
             witnesses.append({"relation": list(rel.support),
                               "identity": "u_min*P_L - t_min*P_L_min != Q_L_empty"})
-        for S in subsets_of(rel.support):
+        for S, p in plist.items():
             q = q_of_LS(ring, rel, S)
             checked += 1
             for i in S:
                 ui = ExtElement.generator(ring, i)
-                if q != ext_mul(ui, plist[S]):
+                if q != ext_mul(ui, p):
                     witnesses.append({"relation": list(rel.support),
                                       "S": list(S), "i": i,
                                       "identity": "Q != u_i * P_LS"})
             if q.is_zero():
                 continue
             r = len(S) + 1
-            nf = module_normal_form(q, _grassmann_bases(gens, arr.m, r,
+            nf = module_normal_form(q, _grassmann_chain(gens, arr.m, r,
                                                         bases)[r])
             if not nf.is_zero():
                 witnesses.append({"relation": list(rel.support), "S": list(S),
@@ -870,17 +854,16 @@ def hilbert(arr: Arrangement, super: bool = False, max_degree: int = 10):
     degrees 0..max_degree (t has degree 2, u degree 1).
     """
     ring = t_ring(arr)
-    igens = _instance_kernel(arr)
     if super:
         leading: dict = {}
         for r in range(min(arr.m, max_degree) + 1):
             by_label = leading[r] = {}
             # kernel_K_degree already returns a reduced Groebner basis
-            for g in kernel_K_degree(arr, r, igens):
+            for g in kernel_K_degree(arr, r):
                 m, _, lab = g.lt()
                 by_label.setdefault(lab, []).append(m)
     else:
-        leading = {0: {(): [g.lm() for g in igens]}}
+        leading = {0: {(): [g.lm() for g in _instance_kernel(arr)]}}
     table_a = {}
     table_b = {}
     for deg in range(max_degree + 1):

@@ -17,7 +17,7 @@ on one piece of the compactification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from .arrangement import Arrangement, Flat, Relation, relations_for
@@ -133,12 +133,21 @@ class GeneratorRecord:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators-and-relations data for the commutative or odd quotient."""
+    """Generators-and-relations data for the commutative or odd quotient.
+
+    `bases` is the Grassmann chain of an odd presentation: the reduced
+    bases G_0, G_1, ... of the degree pieces of the ideal its generators
+    generate, as far as a check has asked (see `oracle._grassmann_chain`).
+    It is not a constructor argument, so a presentation made by
+    `dataclasses.replace` starts with an empty chain of its own.
+    """
 
     arrangement: Arrangement
     super: bool
     mode: str
     generators: tuple
+    bases: list = dc_field(default_factory=list, init=False, compare=False,
+                           repr=False)
 
     @property
     def ring(self) -> PolyRing:
@@ -176,13 +185,15 @@ class Presentation:
 
 
 def _memo_presentation(arr: Arrangement, key, build) -> Presentation:
-    """The instance context's presentation under `key`, built on a miss."""
+    """The instance context's presentation under `key`, built on a miss.
+
+    An equal arrangement gets the presentation built for the first one, its
+    Grassmann chain included.
+    """
     table = instance_context(arr).presentations
     pres = table.get(key)
     if pres is None:
         pres = table[key] = build()
-    elif pres.arrangement is not arr:
-        pres = replace(pres, arrangement=arr)
     return pres
 
 
@@ -219,16 +230,6 @@ def subsets_of(support, size=None):
     return out
 
 
-def odd_relation(arr: Arrangement, rel: Relation, subset) -> ExtElement:
-    """P_{L,S} for a relation of the arrangement, from the instance table."""
-    table = instance_context(arr).odd_relations
-    key = (rel, tuple(subset))
-    got = table.get(key)
-    if got is None:
-        got = table[key] = p_of_LS(t_ring(arr), rel, subset)
-    return got
-
-
 def super_generators(
     arr: Arrangement, mode: str = "circuits", caps: Caps | None = None
 ) -> Presentation:
@@ -240,10 +241,11 @@ def super_generators(
     """
 
     def build():
+        ring = t_ring(arr)
         records = []
         for rel in relations_for(arr, mode, caps):
             for S in subsets_of(rel.support):
-                records.append(GeneratorRecord(odd_relation(arr, rel, S), rel, S))
+                records.append(GeneratorRecord(p_of_LS(ring, rel, S), rel, S))
         return Presentation(arr, True, mode, tuple(records))
 
     return _memo_presentation(arr, (True, mode, caps), build)
@@ -383,8 +385,6 @@ def chart_ring(
     flat: Flat,
     invert=(),
     super: bool = False,
-    mode: str = "circuits",
-    caps: Caps | None = None,
 ) -> ChartRing:
     """The chart for a flat, with the forms in `invert` made invertible."""
     s_v = set(flat.indices)
@@ -396,9 +396,7 @@ def chart_ring(
         tuple(i for i in range(1, arr.m + 1) if i not in s_v),
         tuple(flat.indices),
     )
-    pres = (
-        super_generators(arr, mode, caps) if super else commutative_generators(arr, mode, caps)
-    )
+    pres = super_generators(arr) if super else commutative_generators(arr)
     division = _ChartDivision(t_ring(arr), ring, s_v)
     records = []
     for g in pres.generators:

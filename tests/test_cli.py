@@ -206,6 +206,36 @@ def test_negative_max_degree_exit_code(specs, capsys):
     assert "max-degree" in err
 
 
+def _spec_with(tmp_path, **changes):
+    spec = tmp_path / "malformed.json"
+    spec.write_text(json.dumps(dict(E3_SPEC, **changes)))
+    return str(spec)
+
+
+@pytest.mark.parametrize("changes, argv, message", [
+    ({"field": {"type": "prime", "p": 5},
+      "hyperplanes": [[1, 0], [0, 1], ["1/5", 1]]}, ["circuits"], "1/5"),
+    ({"field": {"type": "rational"},
+      "hyperplanes": [[1, 0], [0, 1], ["1/0", 1]]}, ["circuits"], "1/0"),
+    ({}, ["charts", "--flat", "0"], "index 0"),
+    ({}, ["charts", "--flat", "9"], "index 9"),
+    ({}, ["charts", "--invert", "9"], "index 9"),
+    ({}, ["verify", "--check", "theorem2", "--grassmann", "-1"],
+     "grassmann"),
+    ({"n": 2.7}, ["circuits"], "2.7"),
+    ({"n": True}, ["circuits"], "True"),
+    ({"field": {"type": "prime", "p": 2.0}}, ["circuits"], "2.0"),
+], ids=["one-fifth-over-F5", "one-over-zero-over-Q", "flat-0", "flat-9",
+        "invert-9", "grassmann-negative", "n-float", "n-boolean", "p-float"])
+def test_malformed_input_exit_code(tmp_path, capsys, changes, argv, message):
+    """Malformed input exits 2 with a message, never a traceback and never
+    a silent pass."""
+    code, out, err = run_cli(capsys, *argv, _spec_with(tmp_path, **changes))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and message in err
+
+
 def test_cap_exceeded_exit_code(specs, capsys):
     code, _, err = run_cli(
         capsys, "--cap-points", "8", "verify", "--check", "stratification",

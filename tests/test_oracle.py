@@ -150,6 +150,24 @@ def test_kernel_K_boolean_zero(boolean3_f2):
         assert kernel_K_degree(boolean3_f2, r) == []
 
 
+def test_kernel_K_beyond_the_rank_matches_the_preimage(four_cycle, triangle_q,
+                                                       triangle_f2):
+    """Beyond the rank kernel_K_degree returns every u_I of the degree; the
+    preimage it takes up to the rank gives the same reduced basis there."""
+    from recplane.modules import module_preimage
+    from recplane.oracle import degree_module_columns, degree_module_relations
+
+    for arr in (four_cycle, triangle_q, triangle_f2):
+        ring = t_ring(arr)
+        assert arr.rank < arr.m
+        for r in range(arr.rank + 1, arr.m + 1):
+            subsets, columns = degree_module_columns(arr, r)
+            rows = module_preimage(columns, degree_module_relations(arr, r))
+            preimage = module_groebner(
+                [ExtElement(ring, dict(zip(subsets, vec))) for vec in rows])
+            assert kernel_K_degree(arr, r) == preimage
+
+
 def test_kernel_K_triangle_degree_two_contains_cyclic_relation(triangle_q):
     ring = t_ring(triangle_q)
     gens = kernel_K_degree(triangle_q, 2)
@@ -328,27 +346,30 @@ def small_arrangements(draw):
 @given(small_arrangements())
 def test_chained_bases_match_the_u_multiples(arr):
     """G_r built from G_{r-1} is the reduced basis of every u_B multiple of
-    the generators, for a presentation and for each circuit's P_{L,T}."""
-    from recplane.oracle import _grassmann_bases, _presentation_bases
-    from recplane.relations import odd_relation, subsets_of
+    the generators, for a presentation (the chain it carries) and for each
+    circuit's P_{L,T}."""
+    from recplane.oracle import _grassmann_chain, _presentation_bases
+    from recplane.relations import p_of_LS, subsets_of
 
     pres = super_generators(arr)
     gens = [g.element for g in pres.generators if not g.element.is_zero()]
-    bases = _presentation_bases(arr, pres, None, arr.m)
+    bases = _presentation_bases(pres, arr.m)
+    assert bases is pres.bases
     assert len(bases) == arr.m + 1
     for r, gb in enumerate(bases):
         assert gb == module_groebner(_u_multiples(arr.m, gens, r))
+    ring = t_ring(arr)
     for rel in circuits(arr):
-        gens = [odd_relation(arr, rel, T) for T in subsets_of(rel.support)]
+        gens = [p_of_LS(ring, rel, T) for T in subsets_of(rel.support)]
         gens = [p for p in gens if not p.is_zero()]
         top = len(rel.support) + 1
-        for r, gb in enumerate(_grassmann_bases(gens, arr.m, top)):
+        for r, gb in enumerate(_grassmann_chain(gens, arr.m, top)):
             assert gb == module_groebner(_u_multiples(arr.m, gens, r))
 
 
 def test_minimal_reuses_the_chain_theorem2_built(monkeypatch):
-    """The chain is built only as far as asked, and kept under the
-    presentation's key, so minimal on an equal arrangement builds nothing."""
+    """The chain is built only as far as asked, and carried by the circuit
+    presentation, so minimal on an equal arrangement builds nothing."""
     import recplane.context as context
     import recplane.oracle as oracle
     from recplane.context import instance_context
@@ -357,11 +378,12 @@ def test_minimal_reuses_the_chain_theorem2_built(monkeypatch):
     arr = Arrangement(F2, 3, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1],
                               [0, 1, 1]])
     assert verify_theorem2(arr, rmax=1).ok
-    table = instance_context(arr).grassmann_bases
-    assert list(table) == [(True, "circuits", None)]
-    assert len(table[True, "circuits", None][1]) == 2
+    assert list(instance_context(arr).presentations) == [
+        (True, "circuits", None)]
+    chain = super_generators(arr).bases
+    assert len(chain) == 2
     assert verify_theorem2(arr).ok
-    assert len(table[True, "circuits", None][1]) == arr.m + 1
+    assert len(chain) == arr.m + 1
 
     def refuse(*args, **kwargs):
         raise AssertionError("the circuit span was built again")
@@ -370,6 +392,27 @@ def test_minimal_reuses_the_chain_theorem2_built(monkeypatch):
     twin = Arrangement(F2, 3, [list(arr.form(i)) for i in range(1, 6)])
     assert twin is not arr and twin == arr
     assert verify_minimal(twin).ok
+    assert super_generators(twin).bases is chain
+
+
+def test_lemma7_reads_the_generators_theorem2_checked(monkeypatch):
+    """lemma7 groups the P_{L,S} of the memoized circuit presentation by
+    circuit, so after theorem2 it builds none of them."""
+    import recplane.context as context
+    import recplane.relations as relations
+
+    monkeypatch.setattr(context, "_current", None)
+    arr = TWO_CIRCUITS
+    assert verify_theorem2(arr).ok
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lemma7 built a P_{L,S}")
+
+    monkeypatch.setattr(relations, "p_of_LS", refuse)
+    rep = verify_lemma7(arr)
+    assert rep.ok, rep.witnesses
+    assert rep.details["pairs"] == sum(2 ** len(c.support)
+                                       for c in circuits(arr))
 
 
 def _without_P_L(monkeypatch):
@@ -712,21 +755,26 @@ def test_shared_product_equals_the_plain_product(case):
 
 def test_call_groups_leave_no_state_in_the_instance_context(four_cycle):
     """hilbert and verify_charts drop their products with the call: the
-    instance context keeps its slots and holds no x-polynomial."""
+    instance context keeps its slots, and neither the kernel nor any
+    presentation, its chain included, holds an x-polynomial."""
     from recplane.context import InstanceContext, instance_context
     from recplane.oracle import x_ring
 
-    slots = ("arrangement", "kernel", "presentations", "odd_relations",
-             "dz_expansions", "grassmann_bases")
+    assert verify_theorem2(four_cycle).ok
     assert hilbert(four_cycle, super=True, max_degree=4)["rank"]
     assert verify_charts(four_cycle).ok
-    assert InstanceContext.__slots__ == slots
+    assert InstanceContext.__slots__ == ("arrangement", "kernel",
+                                         "presentations")
     ctx = instance_context(four_cycle)
+    held = list(ctx.kernel)
+    chains = 0
+    for pres in ctx.presentations.values():
+        held += [g.element for g in pres.generators]
+        held += [b for basis in pres.bases for b in basis]
+        chains += len(pres.bases)
+    assert chains == four_cycle.m + 1
     xr = x_ring(four_cycle)
-    for name in slots[1:]:
-        held = getattr(ctx, name)
-        values = held.values() if isinstance(held, dict) else held
-        assert not any(getattr(v, "ring", None) == xr for v in values)
+    assert not any(v.ring == xr for v in held)
 
 
 # -- charts ------------------------------------------------------------------------
