@@ -229,9 +229,9 @@ def circuits(arr: Arrangement):
             if any(s <= cs for s in supports):
                 continue
             rows = [list(arr.form(i)) for i in combo]
-            if linalg.rank(arr.field, rows) == size:
-                continue
             kern = linalg.kernel_basis(arr.field, _transpose(rows, arr.n), size)
+            if not kern:  # independent
+                continue
             if len(kern) != 1:
                 raise RuntimeError("circuit must have a one-dimensional kernel")
             vec = [arr.field.zero] * arr.m

@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one verification check")
     p.add_argument("--check", choices=CHECKS, required=True)
     p.add_argument("--grassmann", type=int, default=None,
-                   help="restrict the Grassmann degree where applicable")
+                   help="restrict the Grassmann degree (theorem2 and "
+                        "groebner-lemma only)")
     spec_arg(p)
 
     spec_arg(sub.add_parser("points", help="stratified point count"))
@@ -185,8 +186,11 @@ def run(argv=None) -> int:
         return EXIT_PASS if rep.ok else EXIT_FAIL
 
     if args.command == "verify":
-        if args.grassmann is not None and args.grassmann < 0:
-            raise SpecError("--grassmann must be nonnegative")
+        if args.grassmann is not None:
+            if args.grassmann < 0:
+                raise SpecError("--grassmann must be nonnegative")
+            if args.check not in ("theorem2", "groebner-lemma"):
+                raise SpecError(f"--check {args.check} has no --grassmann")
         rep = _run_check(arr, args, caps)
         emit(args, rep.to_json, lambda: _report_lines(rep))
         return EXIT_PASS if rep.ok else EXIT_FAIL
@@ -204,11 +208,16 @@ def run(argv=None) -> int:
         return EXIT_PASS if agree else EXIT_FAIL
 
     if args.command == "charts":
+        invert = _parse_indices(args.invert, arr.m)
         if args.flat is not None:
-            target = [closure(arr, _parse_indices(args.flat, arr.m))]
+            flat = closure(arr, _parse_indices(args.flat, arr.m))
+            for i in invert:
+                if i not in flat.indices:
+                    raise SpecError(f"index {i} lies outside the flat "
+                                    f"{list(flat.indices)}")
+            target = [flat]
         else:
             target = flats(arr, caps)
-        invert = _parse_indices(args.invert, arr.m)
 
         def charts():
             # one chart at a time: only its rendered form is kept

@@ -5,37 +5,11 @@ Gaussian elimination; sizes stay tiny except for the Hilbert rank oracle,
 which gets a bitmask fast path over F_2.  `echelon` is forward elimination
 only; it gives `rank`, and with `in_row_space` tests many vectors against
 one row space.  `extend_echelon` grows such a row space one vector at a
-time, for a greedy basis.  `rref` (full reduction) serves `kernel_basis` and
-`solve_combination`.
+time, for a greedy basis.  `kernel_basis` back-substitutes on the echelon
+rows, and `solve_combination` reads its answer off a kernel vector.
 """
 
 from __future__ import annotations
-
-
-def rref(field, rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != field.zero), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
 
 
 def echelon(field, rows):
@@ -123,34 +97,47 @@ def extend_echelon(field, pivots, vec) -> bool:
 
 
 def kernel_basis(field, rows, ncols):
-    """Basis of {v : M v = 0} for M given by `rows` (each of length ncols)."""
-    reduced, pivots = rref(field, rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of {v : M v = 0} for M given by `rows` (each of length ncols).
+
+    One vector per free (non-pivot) column, by increasing column: it is 1
+    there and 0 at every other free column, and its pivot entries come
+    from back-substitution on the `echelon` rows, each read from its pivot
+    on.
+    """
+    pivots = echelon(field, rows)
+    pivot_cols = {c for c, _, _ in pivots}
+    zero = field.zero
     basis = []
-    for fc in free:
-        v = [field.zero] * ncols
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        v = [zero] * ncols
         v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(reduced[r][fc])
+        for c, inv, row in reversed(pivots):
+            acc = zero
+            for j in range(c + 1, ncols):
+                if row[j] != zero and v[j] != zero:
+                    acc = field.add(acc, field.mul(row[j], v[j]))
+            v[c] = field.neg(field.mul(inv, acc))
         basis.append(v)
     return basis
 
 
 def solve_combination(field, basis_rows, target):
-    """Coefficients c with sum(c_i * basis_rows[i]) == target, or None."""
-    if not basis_rows:
-        return [] if all(x == field.zero for x in target) else None
-    ncols = len(basis_rows[0])
-    # Transpose: unknowns are the combination coefficients.
-    aug = [[row[c] for row in basis_rows] + [target[c]] for c in range(ncols)]
-    reduced, pivots = rref(field, aug)
+    """Coefficients c with sum(c_i * basis_rows[i]) == target, or None.
+
+    The columns (basis_rows..., target) have a kernel vector that is 1 at
+    the target exactly when a solution exists; the target column is then
+    the last free column, so that vector comes last, and the solution is
+    minus its other entries.
+    """
     k = len(basis_rows)
-    if k in pivots:
-        return None  # inconsistent
-    sol = [field.zero] * k
-    for r, pc in enumerate(pivots):
-        sol[pc] = reduced[r][k]
-    return sol
+    columns = [[row[c] for row in basis_rows] + [x]
+               for c, x in enumerate(target)]
+    kernel = kernel_basis(field, columns, k + 1)
+    if not kernel or kernel[-1][k] == field.zero:
+        return None
+    return [field.neg(x) for x in kernel[-1][:k]]
 
 
 def matrix_rank_f2_bitmask(rows_bits) -> int:

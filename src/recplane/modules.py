@@ -242,26 +242,20 @@ def _lt_key(g):
 def reduce_module_basis(G):
     """Minimal interreduced monic basis, sorted by ascending leading term.
 
-    Each minimal element is reduced only by the ones before it: a leading
-    term dividing one of its terms is no larger than that term, which lies
-    below its own leading term.
+    An element is minimal when no leading monomial kept before it under the
+    same label divides its own: reduction keeps leading terms, so the
+    result's `by_label` index answers that.  It is reduced only by the ones
+    before it: a leading term dividing one of its terms is no larger than
+    that term, which lies below its own leading term.  The result is an
+    `_IndexedBasis` and may grow only by `append`.
     """
-    G = sorted((g for g in G if not g.is_zero()), key=_lt_key)
-    minimal = []
-    for g in G:
-        m, _, label = g.lt()
-        keep = True
-        for h in minimal:
-            hm, _, hlabel = h.lt()
-            if hlabel == label and g.ring.mono_divides(hm, m):
-                keep = False
-                break
-        if keep:
-            minimal.append(g)
     reduced = _IndexedBasis()
-    for g in minimal:
-        reduced.append(module_normal_form(g, reduced).monic())
-    return list(reduced)
+    for g in sorted((g for g in G if not g.is_zero()), key=_lt_key):
+        m, _, label = g.lt()
+        if not any(g.ring.mono_divides(hm, m)
+                   for hm, _, _, _ in reduced.by_label.get(label, ())):
+            reduced.append(module_normal_form(g, reduced).monic())
+    return reduced
 
 
 def module_groebner(gens):

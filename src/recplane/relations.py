@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import combinations
 
 from .arrangement import Arrangement, Flat, Relation, relations_for
 from .caps import Caps
@@ -184,12 +185,15 @@ class Presentation:
         return "\n".join(lines)
 
 
-def _memo_presentation(arr: Arrangement, key, build) -> Presentation:
-    """The instance context's presentation under `key`, built on a miss.
+def _memo_presentation(arr: Arrangement, super: bool, mode: str,
+                       caps: Caps | None, build) -> Presentation:
+    """The instance context's presentation, built on a miss.
 
-    An equal arrangement gets the presentation built for the first one, its
-    Grassmann chain included.
+    The key is (super, mode, caps), with caps None in "circuits" mode, whose
+    family never reads them.  An equal arrangement gets the presentation
+    built for the first one, its Grassmann chain included.
     """
+    key = (super, mode, caps if mode == "all" else None)
     table = instance_context(arr).presentations
     pres = table.get(key)
     if pres is None:
@@ -204,7 +208,7 @@ def commutative_generators(
 
     Scalar-multiple dependencies normalize to the same Relation, so the
     relation family is de-duplicated before polynomials are built.  Kept in
-    the instance context per (mode, caps).
+    the instance context (`_memo_presentation`).
     """
 
     def build():
@@ -215,15 +219,11 @@ def commutative_generators(
         ]
         return Presentation(arr, False, mode, tuple(records))
 
-    return _memo_presentation(arr, (False, mode, caps), build)
+    return _memo_presentation(arr, False, mode, caps, build)
 
 
-def subsets_of(support, size=None):
-    from itertools import combinations
-
+def subsets_of(support):
     items = tuple(sorted(support))
-    if size is not None:
-        return list(combinations(items, size))
     out = []
     for k in range(len(items) + 1):
         out.extend(combinations(items, k))
@@ -237,7 +237,7 @@ def super_generators(
 
     All 2^k subsets of each support appear, zero elements included (the full
     support always yields zero: its corrections sum back to P_L dz_S).
-    Kept in the instance context per (mode, caps).
+    Kept in the instance context (`_memo_presentation`).
     """
 
     def build():
@@ -248,7 +248,7 @@ def super_generators(
                 records.append(GeneratorRecord(p_of_LS(ring, rel, S), rel, S))
         return Presentation(arr, True, mode, tuple(records))
 
-    return _memo_presentation(arr, (True, mode, caps), build)
+    return _memo_presentation(arr, True, mode, caps, build)
 
 
 # -- chart rings --------------------------------------------------------------

@@ -212,6 +212,10 @@ def _spec_with(tmp_path, **changes):
     return str(spec)
 
 
+GRASSMANN_IGNORED = ("theorem1", "minimal", "stratification", "lemma7",
+                     "charts")
+
+
 @pytest.mark.parametrize("changes, argv, message", [
     ({"field": {"type": "prime", "p": 5},
       "hyperplanes": [[1, 0], [0, 1], ["1/5", 1]]}, ["circuits"], "1/5"),
@@ -225,8 +229,13 @@ def _spec_with(tmp_path, **changes):
     ({"n": 2.7}, ["circuits"], "2.7"),
     ({"n": True}, ["circuits"], "True"),
     ({"field": {"type": "prime", "p": 2.0}}, ["circuits"], "2.0"),
-], ids=["one-fifth-over-F5", "one-over-zero-over-Q", "flat-0", "flat-9",
-        "invert-9", "grassmann-negative", "n-float", "n-boolean", "p-float"])
+    ({}, ["charts", "--flat", "1", "--invert", "3"], "index 3"),
+] + [({}, ["verify", "--check", check, "--grassmann", "1"], "grassmann")
+     for check in GRASSMANN_IGNORED],
+    ids=["one-fifth-over-F5", "one-over-zero-over-Q", "flat-0", "flat-9",
+         "invert-9", "grassmann-negative", "n-float", "n-boolean", "p-float",
+         "invert-outside-flat"]
+    + [f"grassmann-{check}" for check in GRASSMANN_IGNORED])
 def test_malformed_input_exit_code(tmp_path, capsys, changes, argv, message):
     """Malformed input exits 2 with a message, never a traceback and never
     a silent pass."""
@@ -234,6 +243,27 @@ def test_malformed_input_exit_code(tmp_path, capsys, changes, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("input error:") and message in err
+
+
+def test_presentation_and_theorem2_share_the_circuit_presentation(
+        specs, capsys, monkeypatch):
+    """Circuits mode reads no caps, so `presentation --super` and theorem2
+    find one memoized presentation: the triangle's 8 P_{L,S}, built once."""
+    import recplane.context as context
+    import recplane.relations as relations
+
+    monkeypatch.setattr(context, "_current", None)
+    built = []
+    p_of_LS = relations.p_of_LS
+
+    def counted(*args):
+        built.append(args)
+        return p_of_LS(*args)
+
+    monkeypatch.setattr(relations, "p_of_LS", counted)
+    assert run_cli(capsys, "presentation", "--super", specs["E3"])[0] == 0
+    assert run_cli(capsys, "verify", "--check", "theorem2", specs["E3"])[0] == 0
+    assert len(built) == 8
 
 
 def test_cap_exceeded_exit_code(specs, capsys):

@@ -89,6 +89,63 @@ def matrices(draw):
     return field, draw(st.lists(row, min_size=nrows, max_size=nrows))
 
 
+def _rref(field, rows):
+    """Reduced row echelon form by Gauss-Jordan elimination, the reference
+    for `linalg`.  Returns (new_rows, pivot_columns)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != field.zero),
+                     None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != field.zero:
+                f = m[i][c]
+                m[i] = [field.sub(x, field.mul(f, y))
+                        for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def _kernel_by_rref(field, rows, ncols):
+    """One kernel vector per free column, read off the reduced rows."""
+    reduced, pivots = _rref(field, rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = field.neg(reduced[r][fc])
+        basis.append(v)
+    return basis
+
+
+def _solve_by_rref(field, basis_rows, target):
+    """The solution with every free coefficient 0, or None."""
+    if not basis_rows:
+        return [] if all(x == field.zero for x in target) else None
+    k = len(basis_rows)
+    aug = [[row[c] for row in basis_rows] + [target[c]]
+           for c in range(len(basis_rows[0]))]
+    reduced, pivots = _rref(field, aug)
+    if k in pivots:
+        return None
+    sol = [field.zero] * k
+    for r, pc in enumerate(pivots):
+        sol[pc] = reduced[r][k]
+    return sol
+
+
 Q_ROWS = [[Fraction(x) for x in row]
           for row in ([1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 0, 1, 1, 1])]
 
@@ -102,9 +159,21 @@ Q_ROWS = [[Fraction(x) for x in row]
 @example((RationalField(), [list(col) for col in zip(*Q_ROWS)]))  # tall
 @example((PrimeField(2), [[1, 1, 0, 1, 0, 1, 1]] * 2 + [[0, 1, 1, 0, 1, 0, 1]]))
 def test_forward_elimination_rank_matches_rref(matrix):
+    """Rank, kernel and solutions agree with full Gauss-Jordan reduction,
+    the solutions also over dependent basis rows; no input row changes."""
     field, rows = matrix
     before = [list(row) for row in rows]
-    assert linalg.rank(field, rows) == len(linalg.rref(field, rows)[1])
+    ncols = len(rows[0]) if rows else 0
+    assert linalg.rank(field, rows) == len(_rref(field, rows)[1])
+    assert (linalg.kernel_basis(field, rows, ncols)
+            == _kernel_by_rref(field, rows, ncols))
+    total = [field.zero] * ncols
+    for row in rows:
+        total = [field.add(a, b) for a, b in zip(total, row)]
+    targets = [(rows[:k] + rows[k + 1:], rows[k]) for k in range(len(rows))]
+    for basis_rows, target in targets + [(rows, total), (rows[1:], total)]:
+        assert (linalg.solve_combination(field, basis_rows, target)
+                == _solve_by_rref(field, basis_rows, target))
     assert rows == before
 
 

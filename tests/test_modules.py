@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -229,6 +230,74 @@ def test_chain_criterion_skips_a_pair(monkeypatch):
     koszul = as_vec({1: r.parse("t1"), 2: r.parse("t2")})
     assert module_normal_form(
         koszul, module_groebner([as_vec(row) for row in syz])).is_zero()
+
+
+def _reduce_all_pairs(G):
+    """The all-pairs rule `reduce_module_basis` replaced, as reference: an
+    element is minimal when no minimal element before it, in ascending
+    leading term, has the same label and a leading monomial dividing its
+    own; each minimal element is then reduced by the ones before it."""
+    G = sorted((g for g in G if not g.is_zero()), key=modules._lt_key)
+    minimal = []
+    for g in G:
+        m, _, label = g.lt()
+        if not any(h.lt()[2] == label and g.ring.mono_divides(h.lt()[0], m)
+                   for h in minimal):
+            minimal.append(g)
+    reduced = []
+    for g in minimal:
+        reduced.append(module_normal_form(g, reduced).monic())
+    return reduced
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((F2, F3, Q)),
+    st.integers(1, 4),
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),  # label slot
+                st.integers(1, 2),  # coefficient
+                st.tuples(*[st.integers(0, 2)] * 3),  # exponents
+            ),
+            max_size=3,
+        ),
+        max_size=8,
+    ),
+    st.permutations(MODULE_LABELS),
+)
+def test_reduce_module_basis_matches_all_pairs_rule(field, nlabels, data,
+                                                     labels):
+    """The by-label minimality lookup keeps what the all-pairs rule keeps,
+    and the returned basis carries an up-to-date index."""
+    r = t_ring(field, 3)
+    G = [from_terms(r, labels[:nlabels], terms) for terms in data]
+    reduced = reduce_module_basis(G)
+    assert reduced == _reduce_all_pairs(G)
+    assert isinstance(reduced, modules._IndexedBasis)
+    assert reduced.by_label == modules._IndexedBasis(reduced).by_label
+
+
+def test_reduce_module_basis_looks_up_by_label(monkeypatch):
+    """All 924 unit vectors of degree 6 in 12 exterior variables are
+    minimal; deciding so takes a few leading-term calls per element, not
+    one per pair (the all-pairs rule made 430,122)."""
+    r = t_ring(F3, 2)
+    units = [ExtElement(r, {I: r.one()})
+             for I in itertools.combinations(range(1, 13), 6)]
+    calls = []
+    original = ExtElement.lt
+
+    def counted(self):
+        calls.append(None)
+        return original(self)
+
+    monkeypatch.setattr(ExtElement, "lt", counted)
+    reduced = reduce_module_basis(units[::-1])
+    assert len(calls) <= 10 * len(units)
+    monkeypatch.undo()
+    assert reduced == sorted(units, key=modules._lt_key)
 
 
 def test_intersect_coprime_principal():
