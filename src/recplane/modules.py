@@ -37,6 +37,11 @@ class _IndexedBasis(list):
         for g in elems:
             self.append(g)
 
+    def __reduce__(self):
+        # rebuilt by `append`, so a copy or an unpickled basis gets an
+        # index of its own with one entry per nonzero element
+        return type(self), (list(self),)
+
     def append(self, g):
         if not g.is_zero():
             m, c, label = g.lt()
@@ -104,7 +109,7 @@ def module_normal_form(v: ExtElement, basis, track=False):
             if not d:
                 del work[s]
     ring = v.ring
-    remainder = ExtElement(
+    remainder = ExtElement._unfiltered(
         ring, {s: Polynomial(ring, d) for s, d in rem.items()}, v.kind
     )
     if track:

@@ -7,23 +7,26 @@ an enumeration that drops a partial point at the first kernel generator not
 vanishing on it, and Hilbert dimensions computed two unrelated ways.  No
 check trusts the construction it is checking.
 
-The span side of `verify_theorem2`, the circuit span of `verify_minimal`
-and the per-circuit bases of `verify_lemma7` are the Grassmann-degree
-pieces of an ideal, built one degree from the last (`_grassmann_chain`):
-the degree-r piece is spanned by the u_j multiples of the degree-(r-1)
-basis and the generators of degree r.  A presentation carries its own
-chain (`Presentation.bases`), built only as far as a check asks; since the
-instance context keeps the presentations, each check on an arrangement
-extends what an earlier one built.  The kernel side stays the independent
-derivation: elimination, then preimages.  `verify_lemma7` reads the
-P_{L,S} of the circuit presentation that `verify_theorem2` checks and
-builds each Q_{L,S} anew from dL and dz_S.
+The span side of `verify_theorem2` and the circuit span of
+`verify_minimal` are the Grassmann-degree pieces of an ideal, built one
+degree from the last (`_grassmann_chain`): the degree-r piece is spanned
+by the u_j multiples of the degree-(r-1) basis and the generators of
+degree r.  A presentation carries its own chain (`Presentation.bases`),
+built only as far as a check asks; since the instance context keeps the
+presentations, each check on an arrangement extends what an earlier one
+built.  The kernel side stays the independent derivation: elimination,
+then preimages.  `verify_lemma7` reads the P_{L,S} of the circuit
+presentation that `verify_theorem2` checks and builds each Q_{L,S} anew
+from dL and dz_S.
 
 Each of these checks is one pass over the degrees.  A `verify_theorem2`
 degree fails exactly when its two reduced bases differ, and only then is
 anything reduced, to name the witness.  `verify_minimal` reduces the
 all-family generators of each degree modulo the circuit chain, and every
-u_B multiple once some degree has failed.
+u_B multiple once some degree has failed.  `verify_lemma7` divides each
+Q_{L,S} by the u_B multiples of its own circuit's P_{L,T}; a zero
+remainder proves membership, and only a nonzero one builds that
+circuit's chain, whose normal form names the witness.
 
 The substitutions of one call group (one degree of the `hilbert` rank step,
 or one `verify_charts` call) share the forms, the dx expansions of the dz
@@ -559,38 +562,50 @@ def verify_lemma7(arr: Arrangement) -> Report:
     """The Q-element identities and their reduction to zero, per circuit.
 
     The P_{L,S} are those of the circuit presentation that theorem2 checks,
-    grouped by circuit; each Q_{L,S} is built anew from dL and dz_S.
+    grouped by circuit; each Q_{L,S} is built anew from dL and dz_S.  A
+    nonzero Q_{L,S} of Grassmann degree r is divided by the nonzero
+    u_B * P_{L,T} of its circuit with |B| + |T| = r.  A zero remainder
+    writes it as a combination of them, so it lies in the circuit's ideal
+    whether or not they form a Groebner basis.  Only a nonzero remainder
+    builds the circuit's chain, and the witness is the normal form modulo
+    its reduced basis G_r, which is zero exactly when Q_{L,S} lies in J_r.
     """
     label = instance_label(arr)
     ring = t_ring(arr)
     by_relation: dict = {}
     for g in super_generators(arr).generators:
-        by_relation.setdefault(g.relation, {})[g.subset] = g.element
+        by_relation.setdefault(g.relation, {})[g.subset] = g
     witnesses = []
     checked = 0
-    for rel, plist in by_relation.items():
+    for rel, records in by_relation.items():
+        divisors: dict = {}
         bases: list = []
         i1 = rel.support[0]
-        gens = [p for p in plist.values() if not p.is_zero()]
         u1 = ExtElement.generator(ring, i1)
-        base = ext_mul(u1, ExtElement.from_poly(p_of_L(ring, rel))) - plist[
+        base = ext_mul(u1, ExtElement.from_poly(p_of_L(ring, rel))) - records[
             (i1,)
-        ].poly_mul(ring.variable(f"t{i1}"))
+        ].element.poly_mul(ring.variable(f"t{i1}"))
         if base != q_of_LS(ring, rel, ()):
             witnesses.append({"relation": list(rel.support),
                               "identity": "u_min*P_L - t_min*P_L_min != Q_L_empty"})
-        for S, p in plist.items():
+        for S, g in records.items():
             q = q_of_LS(ring, rel, S)
             checked += 1
             for i in S:
                 ui = ExtElement.generator(ring, i)
-                if q != ext_mul(ui, p):
+                if q != ext_mul(ui, g.element):
                     witnesses.append({"relation": list(rel.support),
                                       "S": list(S), "i": i,
                                       "identity": "Q != u_i * P_LS"})
             if q.is_zero():
                 continue
             r = len(S) + 1
+            if r not in divisors:
+                divisors[r] = list(_u_multiples(records.values(), arr.m, r))
+            if module_normal_form(q, divisors[r]).is_zero():
+                continue
+            gens = [h.element for h in records.values()
+                    if not h.element.is_zero()]
             nf = module_normal_form(q, _grassmann_chain(gens, arr.m, r,
                                                         bases)[r])
             if not nf.is_zero():

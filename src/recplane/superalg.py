@@ -90,6 +90,17 @@ class ExtElement:
         self._lt = None
 
     @classmethod
+    def _unfiltered(cls, ring: PolyRing, entries: dict, kind=U):
+        """The element with `entries` as they are, for callers whose
+        entries hold no zero polynomial; nothing is copied or dropped."""
+        e = cls.__new__(cls)
+        e.ring = ring
+        e.kind = kind
+        e._entries = entries
+        e._lt = None
+        return e
+
+    @classmethod
     def zero(cls, ring, kind=U):
         return cls(ring, {}, kind)
 
@@ -270,7 +281,7 @@ def ext_mul_monomial(subset, e: ExtElement) -> ExtElement:
         sign, merged = merge_subsets(subset, s)
         if sign:
             entries[merged] = p if sign > 0 else -p
-    return ExtElement(e.ring, entries, e.kind)
+    return ExtElement._unfiltered(e.ring, entries, e.kind)
 
 
 def xi_from_tdz(e: ExtElement) -> ExtElement:

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import time
 
@@ -298,6 +300,26 @@ def test_reduce_module_basis_looks_up_by_label(monkeypatch):
     assert len(calls) <= 10 * len(units)
     monkeypatch.undo()
     assert reduced == sorted(units, key=modules._lt_key)
+
+
+def test_indexed_basis_survives_copy_and_pickle():
+    """A copied or unpickled basis has an index of its own, and neither it
+    nor the original gains an entry: one per nonzero element."""
+    r = t_ring(F3, 2)
+    basis = module_groebner([vec(r, (1,), "t1"), vec(r, (2,), "t2")])
+    assert isinstance(basis, modules._IndexedBasis)
+
+    def index(b):
+        return sorted((label, idx) for label, members in b.by_label.items()
+                      for _, _, _, idx in members)
+
+    want = [((1,), 0), ((2,), 1)]
+    for clone in (copy.copy(basis), copy.deepcopy(basis),
+                  pickle.loads(pickle.dumps(basis))):
+        assert isinstance(clone, modules._IndexedBasis)
+        assert clone == basis
+        assert clone.by_label is not basis.by_label
+        assert index(clone) == index(basis) == want
 
 
 def test_intersect_coprime_principal():

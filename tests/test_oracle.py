@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -292,8 +293,6 @@ def _sweep_report(arr, sup_c):
 def _patch_circuits(monkeypatch, change):
     """Make oracle.super_generators pass the circuit presentation's
     generators through `change`; returns the patched function."""
-    import dataclasses
-
     import recplane.oracle as oracle
 
     real = oracle.super_generators
@@ -415,10 +414,22 @@ def test_lemma7_reads_the_generators_theorem2_checked(monkeypatch):
                                        for c in circuits(arr))
 
 
+def _drop_P_L(gens):
+    """P_{L,()} of every circuit dropped with its record."""
+    return tuple(g for g in gens if g.subset != ())
+
+
 def _without_P_L(monkeypatch):
     """Drop P_{L,()} of every circuit."""
-    return _patch_circuits(
-        monkeypatch, lambda gens: tuple(g for g in gens if g.subset != ()))
+    return _patch_circuits(monkeypatch, _drop_P_L)
+
+
+def _extra_t2_u1(gens):
+    """t2*u1, which psi does not kill, under the subset (1,) of the first
+    circuit's generators."""
+    ring = gens[0].element.ring
+    extra = ExtElement.generator(ring, 1).poly_mul(ring.variable("t2"))
+    return gens + (dataclasses.replace(gens[0], element=extra, subset=(1,)),)
 
 
 def _theorem2_reference(arr, pres):
@@ -454,12 +465,8 @@ def test_theorem2_names_a_generator_outside_the_kernel(monkeypatch,
                                                       four_cycle):
     """An extra generator t2*u1, which psi does not kill, makes the span
     too large: the witness is a u_B multiple outside the kernel."""
-    import dataclasses
-
-    ring = t_ring(four_cycle)
-    extra = ExtElement.generator(ring, 1).poly_mul(ring.variable("t2"))
-    patched = _patch_circuits(monkeypatch, lambda gens: gens + (
-        dataclasses.replace(gens[0], element=extra, subset=(1,)),))
+    patched = _patch_circuits(monkeypatch, _extra_t2_u1)
+    extra = patched(four_cycle).generators[-1].element
     rep = verify_theorem2(four_cycle)
     assert rep.status == "fail"
     assert rep.witnesses[0] == {"r": 1,
@@ -807,8 +814,6 @@ def test_verify_charts_reports_a_failing_super_generator(monkeypatch,
                                                         four_cycle):
     """A super chart generator whose image is not zero fails the check and is
     named in a witness: a bare u_i off the flat maps to dz_i/z_i."""
-    import dataclasses
-
     import recplane.oracle as oracle
     from recplane.relations import GeneratorRecord
 
@@ -882,3 +887,119 @@ def test_intersection_matches_preimage_kernel(triangle_q):
         assert module_normal_form(v, gi).is_zero()
     for v in images:
         assert module_normal_form(v, gn).is_zero()
+
+
+def _lemma7_reference(arr):
+    """verify_lemma7 as a report, every Q_{L,S} reduced modulo the reduced
+    basis G_r of its circuit's chain, with no division first."""
+    import recplane.oracle as oracle
+    from recplane.relations import p_of_L, q_of_LS
+    from recplane.superalg import ext_mul
+
+    ring = t_ring(arr)
+    by_relation = {}
+    for g in oracle.super_generators(arr).generators:
+        by_relation.setdefault(g.relation, {})[g.subset] = g.element
+    witnesses = []
+    pairs = 0
+    for rel, plist in by_relation.items():
+        support = list(rel.support)
+        i1 = rel.support[0]
+        gens = [p for p in plist.values() if not p.is_zero()]
+        base = ext_mul(ExtElement.generator(ring, i1),
+                       ExtElement.from_poly(p_of_L(ring, rel)))
+        base -= plist[(i1,)].poly_mul(ring.variable(f"t{i1}"))
+        if base != q_of_LS(ring, rel, ()):
+            witnesses.append({"relation": support, "identity":
+                              "u_min*P_L - t_min*P_L_min != Q_L_empty"})
+        for S, p in plist.items():
+            q = q_of_LS(ring, rel, S)
+            pairs += 1
+            for i in S:
+                if q != ext_mul(ExtElement.generator(ring, i), p):
+                    witnesses.append({"relation": support, "S": list(S),
+                                      "i": i, "identity": "Q != u_i * P_LS"})
+            if q.is_zero():
+                continue
+            r = len(S) + 1
+            chain = oracle._grassmann_chain(gens, arr.m, r)
+            nf = module_normal_form(q, chain[r])
+            if not nf.is_zero():
+                witnesses.append({"relation": support, "S": list(S),
+                                  "reduction": str(nf)})
+    return {"check": "lemma7", "instance": oracle.instance_label(arr),
+            "status": "fail" if witnesses else "pass",
+            "witnesses": witnesses, "details": {"pairs": pairs}}
+
+
+def _zero_P_L(gens):
+    """P_{L,()} of every circuit replaced by zero: Q_{L,()} is still
+    checked, and lies outside the span of what is left."""
+    return tuple(dataclasses.replace(g, element=ExtElement.zero(g.element.ring))
+                 if g.subset == () else g for g in gens)
+
+
+def _t_scaled_singletons(gens):
+    """Each P_{L,(i)} times the t of its circuit's last index: the identities
+    fail, Q_{L,(i)} leaves the span, and Q_{L,()} stays in it though
+    division by the u_B multiples leaves a remainder."""
+    def scaled(g):
+        t = g.element.ring.variable(f"t{g.relation.support[-1]}")
+        return dataclasses.replace(g, element=g.element.poly_mul(t))
+    return tuple(scaled(g) if len(g.subset) == 1 else g for g in gens)
+
+
+@pytest.mark.parametrize("change, reduces", [
+    (_zero_P_L, True),
+    (_t_scaled_singletons, True),
+    (_drop_P_L, False),
+    (_extra_t2_u1, False),
+], ids=["zero-P_L", "t-scaled-P_L_i", "drop-P_L", "extra-t2-u1"])
+@pytest.mark.parametrize("name", ["four_cycle", "triangle_q"])
+def test_lemma7_failure_matches_the_chain_reference(monkeypatch, request, name,
+                                                    change, reduces):
+    """A nonzero division remainder falls back to the circuit's chain, so a
+    failing report names the normal forms modulo G_r, as before division.
+    Dropping P_{L,()} stops Q_{L,()} from being checked, and t2*u1 takes the
+    place of P_{L,(1)}; either way every checked Q_{L,S} stays in the span,
+    so those reports pass or fail on the identities alone."""
+    arr = request.getfixturevalue(name)
+    _patch_circuits(monkeypatch, change)
+    rep = verify_lemma7(arr)
+    assert rep.to_json() == _lemma7_reference(arr)
+    assert any("reduction" in w for w in rep.witnesses) == reduces
+
+
+def test_lemma7_keeps_a_pair_that_division_leaves_but_the_span_holds(
+        monkeypatch, four_cycle):
+    """With the P_{L,(i)} scaled by t, division leaves a remainder of
+    Q_{L,()}, but Q_{L,()} lies in J_1: the chain clears it."""
+    import recplane.oracle as oracle
+    from recplane.relations import q_of_LS
+
+    _patch_circuits(monkeypatch, _t_scaled_singletons)
+    records = oracle.super_generators(four_cycle).generators
+    rel = records[0].relation
+    q = q_of_LS(t_ring(four_cycle), rel, ())
+    divisors = list(oracle._u_multiples(records, four_cycle.m, 1))
+    assert not module_normal_form(q, divisors).is_zero()
+    rep = verify_lemma7(four_cycle)
+    assert rep.status == "fail"
+    assert not any(w.get("S") == [] for w in rep.witnesses)
+
+
+def test_lemma7_passes_without_building_a_chain(monkeypatch, four_cycle,
+                                                triangle_q):
+    """Every Q_{L,S} of a passing lemma7 divides to zero by its circuit's
+    u_B * P_{L,T}, so no chain is built and every pair is still counted."""
+    import recplane.oracle as oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lemma7 built a chain")
+
+    monkeypatch.setattr(oracle, "_grassmann_chain", refuse)
+    for arr in (four_cycle, triangle_q, TWO_CIRCUITS):
+        rep = verify_lemma7(arr)
+        assert rep.ok, rep.witnesses
+        assert rep.details["pairs"] == sum(2 ** len(c.support)
+                                           for c in circuits(arr))
