@@ -22,11 +22,13 @@ from .polynomials import ExponentOverflow, Polynomial, PolyRing, RingError
 from .superalg import ExtElement, subset_key
 
 
-class _IndexedBasis(list):
+class IndexedBasis(list):
     """A growing basis that keeps its by-label reducer index up to date.
 
-    `module_normal_form` uses the index as it stands instead of building one;
-    only `append` may change the list, or the index goes stale.
+    `module_normal_form` uses the index as it stands instead of building one,
+    so a caller that divides many elements by one list indexes it once by
+    passing an `IndexedBasis`; only `append` may change the list, or the
+    index goes stale.
     """
 
     __slots__ = ("by_label",)
@@ -52,11 +54,12 @@ class _IndexedBasis(list):
 def module_normal_form(v: ExtElement, basis, track=False):
     """Remainder of v modulo `basis` under TOP-lex division.
 
+    A `basis` that is not an `IndexedBasis` is indexed anew on each call.
     With track=True also returns the quotient dict {basis_index: Polynomial}
     so that v == sum(q_i * basis_i) + remainder.
     """
-    if not isinstance(basis, _IndexedBasis):
-        basis = _IndexedBasis(basis)
+    if not isinstance(basis, IndexedBasis):
+        basis = IndexedBasis(basis)
     by_label = basis.by_label
     field = v.ring.field
     guard = v.ring.guard
@@ -179,7 +182,7 @@ def module_buchberger(gens, *, track=False, track_limit=None):
     ring = gens[0].ring
     field = ring.field
     limit = track_limit if track_limit is not None else len(gens)
-    G = _IndexedBasis()
+    G = IndexedBasis()
     reps = []
     syz = []
     for idx, g in enumerate(gens):
@@ -252,9 +255,9 @@ def reduce_module_basis(G):
     result's `by_label` index answers that.  It is reduced only by the ones
     before it: a leading term dividing one of its terms is no larger than
     that term, which lies below its own leading term.  The result is an
-    `_IndexedBasis` and may grow only by `append`.
+    `IndexedBasis` and may grow only by `append`.
     """
-    reduced = _IndexedBasis()
+    reduced = IndexedBasis()
     for g in sorted((g for g in G if not g.is_zero()), key=_lt_key):
         m, _, label = g.lt()
         if not any(g.ring.mono_divides(hm, m)
@@ -271,7 +274,7 @@ def module_groebner(gens):
     dropped when that is zero.  The kept elements span the same submodule,
     and the pair queue sees no input whose leading term another divides.
     """
-    kept = _IndexedBasis()
+    kept = IndexedBasis()
     for g in sorted((g for g in gens if not g.is_zero()), key=_lt_key):
         r = module_normal_form(g, kept)
         if not r.is_zero():
@@ -287,7 +290,7 @@ def module_spair_remainders(G):
     Pairs come grouped by label, labels in order of first appearance, and
     no pair criterion skips any.  Zero elements take part in no pair.
     """
-    reducers = _IndexedBasis(G)
+    reducers = IndexedBasis(G)
     for members in reducers.by_label.values():
         for a, (_, _, f, i) in enumerate(members):
             for _, _, g, j in members[a + 1:]:

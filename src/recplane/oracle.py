@@ -28,6 +28,14 @@ Q_{L,S} by the u_B multiples of its own circuit's P_{L,T}; a zero
 remainder proves membership, and only a nonzero one builds that
 circuit's chain, whose normal form names the witness.
 
+`hilbert` counts standard monomials and takes the rank of the images.
+For the commutative ring over Q the rank is bounded first.  Once every
+kernel generator maps to zero under `eval_h` (the certificate), the
+standard count is an upper bound; the rank mod 2^61 - 1 of the images'
+values at as many random points is a lower bound.  Where the two meet
+that is the rank; every other degree, and every table over F_p, F_2 or of
+the odd ring, takes the exact rank of the images (`_rank_dimension`).
+
 The substitutions of one call group (one degree of the `hilbert` rank step,
 or one `verify_charts` call) share the forms, the dx expansions of the dz
 wedges and the products of form powers built so far.  That state lives
@@ -38,6 +46,7 @@ peak memory.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -55,6 +64,7 @@ from .context import instance_context
 from .fields import FieldError
 from .groebner import eliminate, groebner_ideal, ideal_equal, normal_form
 from .modules import (
+    IndexedBasis,
     module_groebner,
     module_normal_form,
     module_preimage,
@@ -564,7 +574,8 @@ def verify_lemma7(arr: Arrangement) -> Report:
     The P_{L,S} are those of the circuit presentation that theorem2 checks,
     grouped by circuit; each Q_{L,S} is built anew from dL and dz_S.  A
     nonzero Q_{L,S} of Grassmann degree r is divided by the nonzero
-    u_B * P_{L,T} of its circuit with |B| + |T| = r.  A zero remainder
+    u_B * P_{L,T} of its circuit with |B| + |T| = r, indexed once per
+    circuit and degree.  A zero remainder
     writes it as a combination of them, so it lies in the circuit's ideal
     whether or not they form a Groebner basis.  Only a nonzero remainder
     builds the circuit's chain, and the witness is the normal form modulo
@@ -601,7 +612,8 @@ def verify_lemma7(arr: Arrangement) -> Report:
                 continue
             r = len(S) + 1
             if r not in divisors:
-                divisors[r] = list(_u_multiples(records.values(), arr.m, r))
+                divisors[r] = IndexedBasis(_u_multiples(records.values(),
+                                                        arr.m, r))
             if module_normal_form(q, divisors[r]).is_zero():
                 continue
             gens = [h.element for h in records.values()
@@ -866,9 +878,12 @@ def hilbert(arr: Arrangement, super: bool = False, max_degree: int = 10):
     """Dimension tables by standard monomials and by the evaluation rank.
 
     Returns {"standard": {deg: dim}, "rank": {deg: dim}} over topological
-    degrees 0..max_degree (t has degree 2, u degree 1).
+    degrees 0..max_degree (t has degree 2, u degree 1).  A commutative
+    table over Q takes each rank from the bounds of `_sandwich_forms` where
+    they meet, and from `_rank_dimension` everywhere else.
     """
     ring = t_ring(arr)
+    forms = None
     if super:
         leading: dict = {}
         for r in range(min(arr.m, max_degree) + 1):
@@ -878,7 +893,12 @@ def hilbert(arr: Arrangement, super: bool = False, max_degree: int = 10):
                 m, _, lab = g.lt()
                 by_label.setdefault(lab, []).append(m)
     else:
-        leading = {0: {(): [g.lm() for g in _instance_kernel(arr)]}}
+        kernel = _instance_kernel(arr)
+        leading = {0: {(): [g.lm() for g in kernel]}}
+        if arr.field.char == 0:
+            forms = _sandwich_forms(arr, kernel)
+    # fixed seed: the points move no table, only how often the bounds meet
+    rng = random.Random(0)
     table_a = {}
     table_b = {}
     for deg in range(max_degree + 1):
@@ -886,8 +906,87 @@ def hilbert(arr: Arrangement, super: bool = False, max_degree: int = 10):
             _standard_count(leading[r].get(B, ()), ring, (deg - r) // 2)
             for r, B in _exterior_labels(arr, super, deg)
         )
-        table_b[deg] = _rank_dimension(arr, super, deg)
+        if (forms is not None and deg % 2 == 0
+                and _evaluation_rank(forms, deg // 2, table_a[deg], rng)
+                == table_a[deg]):
+            table_b[deg] = table_a[deg]
+        else:
+            table_b[deg] = _rank_dimension(arr, super, deg)
     return {"standard": table_a, "rank": table_b}
+
+
+# The Mersenne prime 2^61 - 1: the evaluation lower bound is a rank mod _P.
+_P = (1 << 61) - 1
+
+
+def _sandwich_forms(arr: Arrangement, kernel):
+    """The forms mod _P when bounds may settle the commutative rank column
+    over Q, else None.
+
+    Upper bound: once every kernel generator maps to zero under `eval_h`,
+    its leading monomials lie in the initial ideal of Ker(h), so the
+    standard count of degree 2d is at least the rank of h on t-degree d.
+    Lower bound (`_evaluation_rank`): a linear relation over Q among the
+    images, scaled to coprime integers, stays a nonzero relation mod _P
+    and holds at every point, so no rank of values exceeds the rank of
+    the images; random points reach it but with a chance of order
+    deg/_P (Schwartz 1980; Zippel 1979).  None when a coefficient's
+    denominator or a whole form is divisible by _P, or when a generator
+    does not map to zero.
+    """
+    forms = []
+    for row in arr.forms:
+        if any(c.denominator % _P == 0 for c in row):
+            return None
+        forms.append([c.numerator * pow(c.denominator, -1, _P) % _P
+                      for c in row])
+        if not any(forms[-1]):
+            return None
+    if not all(eval_h(arr, g).is_zero() for g in kernel):
+        return None
+    return forms
+
+
+def _evaluation_rank(forms, d: int, npoints: int, rng) -> int:
+    """Rank mod _P of the values prod z_i(x)^(-a_i) of the t-monomials t^a
+    of degree d at `npoints` points x of F_P^n drawn from `rng`, each
+    redrawn until no form vanishes at it."""
+    n = len(forms[0]) if forms else 0
+    rows = []
+    while len(rows) < npoints:
+        x = [rng.randrange(_P) for _ in range(n)]
+        zs = [sum(c * v for c, v in zip(row, x)) % _P for row in forms]
+        if not all(zs):
+            continue
+        w = [pow(z, -1, _P) for z in zs]
+        # (least index the next factor may take, value): the monomials in
+        # the order of combinations_with_replacement
+        level = [(0, 1)]
+        for _ in range(d):
+            level = [(i, v * w[i] % _P)
+                     for lo, v in level for i in range(lo, len(w))]
+        rows.append([v for _, v in level])
+    return _rank_mod_p(rows)
+
+
+def _rank_mod_p(rows) -> int:
+    """Rank over F_P of equal-length rows of ints in [0, _P).
+
+    Each row is reduced by the pivot rows kept so far, in order; each kept
+    row is zero in the pivot columns of the ones before it, so one pass
+    clears them all.
+    """
+    pivots = []
+    for row in rows:
+        for col, prow in pivots:
+            f = row[col]
+            if f:
+                row = [(a - f * b) % _P for a, b in zip(row, prow)]
+        col = next((j for j, a in enumerate(row) if a), None)
+        if col is not None:
+            inv = pow(row[col], -1, _P)
+            pivots.append((col, [a * inv % _P for a in row]))
+    return len(pivots)
 
 
 def _rank_images(arr: Arrangement, super: bool, deg: int):

@@ -277,8 +277,8 @@ def test_reduce_module_basis_matches_all_pairs_rule(field, nlabels, data,
     G = [from_terms(r, labels[:nlabels], terms) for terms in data]
     reduced = reduce_module_basis(G)
     assert reduced == _reduce_all_pairs(G)
-    assert isinstance(reduced, modules._IndexedBasis)
-    assert reduced.by_label == modules._IndexedBasis(reduced).by_label
+    assert isinstance(reduced, modules.IndexedBasis)
+    assert reduced.by_label == modules.IndexedBasis(reduced).by_label
 
 
 def test_reduce_module_basis_looks_up_by_label(monkeypatch):
@@ -307,7 +307,7 @@ def test_indexed_basis_survives_copy_and_pickle():
     nor the original gains an entry: one per nonzero element."""
     r = t_ring(F3, 2)
     basis = module_groebner([vec(r, (1,), "t1"), vec(r, (2,), "t2")])
-    assert isinstance(basis, modules._IndexedBasis)
+    assert isinstance(basis, modules.IndexedBasis)
 
     def index(b):
         return sorted((label, idx) for label, members in b.by_label.items()
@@ -316,7 +316,7 @@ def test_indexed_basis_survives_copy_and_pickle():
     want = [((1,), 0), ((2,), 1)]
     for clone in (copy.copy(basis), copy.deepcopy(basis),
                   pickle.loads(pickle.dumps(basis))):
-        assert isinstance(clone, modules._IndexedBasis)
+        assert isinstance(clone, modules.IndexedBasis)
         assert clone == basis
         assert clone.by_label is not basis.by_label
         assert index(clone) == index(basis) == want

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -689,6 +690,109 @@ def test_hilbert_super_agreement(triangle_q, triangle_f2):
     for arr in (triangle_q, triangle_f2):
         tables = hilbert(arr, super=True, max_degree=8)
         assert tables["standard"] == tables["rank"]
+
+
+def _counted(monkeypatch, name, replacement=None):
+    """Route calls of `oracle.<name>` through `replacement` (the original
+    when None) and return the list of their argument tuples."""
+    from recplane import oracle
+
+    calls = []
+    target = replacement or getattr(oracle, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return target(*args)
+
+    monkeypatch.setattr(oracle, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [18, 19])
+def test_hilbert_rank_bounds_match_the_exact_rank(monkeypatch, seed):
+    """Over Q the commutative rank column comes from the bounds, and each
+    entry equals the exact rank of the images."""
+    from recplane.corpus import random_rational_arrangements
+    from recplane.oracle import _rank_dimension
+
+    for _, arr in random_rational_arrangements(8, seed, max_n=3, max_m=5):
+        exact = _counted(monkeypatch, "_rank_dimension")
+        tables = hilbert(arr, super=False, max_degree=6)
+        assert [args[2] for args in exact] == [1, 3, 5]
+        monkeypatch.undo()
+        for deg, dim in tables["rank"].items():
+            assert dim == _rank_dimension(arr, False, deg)
+        assert tables["standard"] == tables["rank"]
+
+
+def test_hilbert_takes_the_exact_rank_when_the_bounds_differ(monkeypatch):
+    """A lower bound one short of the standard count settles nothing: every
+    degree takes the exact path, and the tables do not change."""
+    arr = _braid_a3(Q)
+    want = hilbert(arr, super=False, max_degree=4)
+    _counted(monkeypatch, "_evaluation_rank",
+             lambda forms, d, npoints, rng: npoints - 1)
+    exact = _counted(monkeypatch, "_rank_dimension")
+    assert hilbert(arr, super=False, max_degree=4) == want
+    assert [args[2] for args in exact] == [0, 1, 2, 3, 4]
+
+
+def test_hilbert_refuses_the_bounds_for_a_generator_outside_the_kernel(
+        monkeypatch, triangle_q):
+    """With t1 added to the kernel, the standard count is no upper bound:
+    no evaluation rank is taken, and the tables still disagree."""
+    from recplane import oracle
+
+    want = hilbert(triangle_q, super=False, max_degree=6)
+    kernel = oracle._instance_kernel(triangle_q)
+    ring = t_ring(triangle_q)
+    monkeypatch.setattr(oracle, "_instance_kernel",
+                        lambda arr: kernel + (ring.variable("t1"),))
+    evaluated = _counted(monkeypatch, "_evaluation_rank")
+    tables = hilbert(triangle_q, super=False, max_degree=6)
+    assert evaluated == []
+    assert tables["standard"] != tables["rank"]
+    assert tables["rank"] == want["rank"]
+
+
+def test_hilbert_bounds_keep_a_missing_generator_visible(monkeypatch,
+                                                        triangle_q):
+    """Without its one generator the kernel still maps to zero, so the
+    bounds are tried, but the evaluation rank stays below the standard
+    count and the exact rank shows the disagreement."""
+    from recplane import oracle
+
+    monkeypatch.setattr(oracle, "_instance_kernel", lambda arr: ())
+    evaluated = _counted(monkeypatch, "_evaluation_rank")
+    tables = hilbert(triangle_q, super=False, max_degree=6)
+    assert len(evaluated) == 4
+    assert tables["standard"] == {0: 1, 1: 0, 2: 3, 3: 0, 4: 6, 5: 0, 6: 10}
+    assert tables["rank"] == {0: 1, 1: 0, 2: 3, 3: 0, 4: 5, 5: 0, 6: 7}
+
+
+@pytest.mark.parametrize("forms", [
+    [[1, 0], [0, 1], [1, Fraction(1, 2**61 - 1)]],  # denominator 0 mod P
+    [[2**61 - 1, 0], [0, 1], [1, 1]],  # a form 0 mod P
+])
+def test_hilbert_forms_zero_mod_p_take_the_exact_path(monkeypatch, forms):
+    arr = Arrangement(Q, 2, [[Fraction(x) for x in row] for row in forms])
+    evaluated = _counted(monkeypatch, "_evaluation_rank")
+    exact = _counted(monkeypatch, "_rank_dimension")
+    tables = hilbert(arr, super=False, max_degree=4)
+    assert evaluated == [] and len(exact) == 5
+    assert tables["standard"] == tables["rank"]
+    assert tables["rank"] == {0: 1, 1: 0, 2: 3, 3: 0, 4: 5}
+
+
+def test_hilbert_bounds_only_over_q_and_commutative(monkeypatch, triangle_q,
+                                                     triangle_f2):
+    """F_2, F_p and the odd ring keep the exact rank in every degree."""
+    evaluated = _counted(monkeypatch, "_evaluation_rank")
+    for arr, flag in ((triangle_f2, False), (_braid_a3(F5), False),
+                      (triangle_q, True)):
+        tables = hilbert(arr, super=flag, max_degree=4)
+        assert tables["standard"] == tables["rank"]
+    assert evaluated == []
 
 
 def _braid_a3(field):
