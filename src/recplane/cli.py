@@ -3,6 +3,10 @@
 Subcommands mirror the library operations one to one; inputs are arrangement
 spec files (JSON), outputs are deterministic text or JSON.  Exit codes:
 0 pass, 1 verification failure, 2 input error, 3 cap exceeded.
+
+JSON output is byte for byte `json.dumps(payload, indent=2, sort_keys=True)`
+plus a newline, written by `write_json`; `charts` writes one chart at a time,
+in either format.  When the reader closes the pipe, output stops quietly.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ import argparse
 import json
 import os
 import sys
+import types
+from functools import cache
 
 from .arrangement import Arrangement, SpecError, circuits, closure, flats
 from .caps import Caps, CapExceeded
@@ -119,14 +125,109 @@ def caps_from_args(args) -> Caps:
     return Caps(**vals)
 
 
-def emit(args, payload, text_lines) -> None:
-    """Print the JSON payload or the text lines; each is a callable that
-    builds its form, so only the form asked for is built."""
-    if args.format == "json":
-        print(json.dumps(payload(), indent=2, sort_keys=True))
+_escape = json.encoder.encode_basestring_ascii  # the C encoder's string step
+
+
+def write_json(write, obj) -> None:
+    """Write `obj` as `json.dumps(obj, indent=2, sort_keys=True)`, then a
+    newline, through `write`.
+
+    Payloads hold dicts with str keys, lists, tuples, str, int, bool and
+    None; any other value, floats included, raises TypeError.  A generator
+    is written as a list, each item as soon as it is made, so a payload can
+    stream.
+    """
+    parts = []
+    _encode(obj, "\n", parts, write)
+    parts.append("\n")
+    write("".join(parts))
+
+
+def _encode(obj, nl, parts, write) -> None:
+    """Append the text of `obj`, whose lines start with `nl`, to `parts`;
+    a generator also writes out `parts` after each of its items."""
+    if isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {key!r}")
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            val = obj[key]
+            if type(val) is str:
+                parts.append(sep + _escape(key) + ": " + _escape(val))
+            else:
+                parts.append(sep + _escape(key) + ": ")
+                _encode(val, inner, parts, write)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        kind = type(obj[0])
+        if (kind is str or kind is int) and all(type(x) is kind for x in obj):
+            text = map(_escape if kind is str else int.__repr__, obj)
+            parts.append("[" + inner + ("," + inner).join(text) + nl + "]")
+            return
+        sep = "[" + inner
+        for x in obj:
+            parts.append(sep)
+            _encode(x, inner, parts, write)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif isinstance(obj, types.GeneratorType):
+        inner = nl + "  "
+        sep = first = "[" + inner
+        for x in obj:
+            parts.append(sep)
+            _encode(x, inner, parts, write)
+            write("".join(parts))
+            parts.clear()
+            sep = "," + inner
+        parts.append("[]" if sep is first else nl + "]")
+    elif isinstance(obj, str):
+        parts.append(_escape(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
     else:
-        for line in text_lines():
-            print(line)
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def emit(args, payload, text) -> None:
+    """Write the JSON payload or the text to stdout.  Each is a callable
+    that builds its form, so only the form asked for is built: `payload`
+    returns the JSON value, `text` an iterable of lines (an item may hold
+    several lines, joined by newlines).  Generators are written as they
+    yield.
+
+    If the reader closes the pipe, writing stops, so nothing further is
+    built, and stdout is pointed at os.devnull so that the flush at exit
+    says nothing either.
+    """
+    out = sys.stdout
+    try:
+        if args.format == "json":
+            write_json(out.write, payload())
+        else:
+            for line in text():
+                out.write(line + "\n")
+        out.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
 
 
 def _parse_indices(text, m: int):
@@ -143,8 +244,15 @@ def _parse_indices(text, m: int):
     return indices
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by later calls in the
+    same process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     caps = caps_from_args(args)
 
     if args.command == "corpus":
@@ -177,7 +285,7 @@ def run(argv=None) -> int:
             if args.super
             else commutative_generators(arr, args.mode, caps)
         )
-        emit(args, pres.to_json, lambda: pres.to_text().splitlines())
+        emit(args, pres.to_json, lambda: [pres.to_text()])
         return EXIT_PASS
 
     if args.command == "points":
@@ -220,15 +328,14 @@ def run(argv=None) -> int:
             target = flats(arr, caps)
 
         def charts():
-            # one chart at a time: only its rendered form is kept
+            # one chart at a time, each written before the next is built
             for f in target:
                 yield chart_ring(arr, f, invert=tuple(i for i in invert
                                                       if i in set(f.indices)),
                                  super=args.super)
 
-        emit(args, lambda: {"charts": [ch.to_json() for ch in charts()]},
-             lambda: [line for ch in charts()
-                      for line in ch.to_text().splitlines()])
+        emit(args, lambda: {"charts": (ch.to_json() for ch in charts())},
+             lambda: (ch.to_text() for ch in charts()))
         return EXIT_PASS
 
     raise AssertionError(f"unhandled command {args.command}")
@@ -313,8 +420,7 @@ def _run_corpus(args) -> int:
         for name, arr in instances:
             path = os.path.join(args.out, f"{name}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(arr.to_json(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                write_json(fh.write, arr.to_json())
         print(f"wrote {len(instances)} spec files to {args.out}")
     else:
         for name, _ in instances:

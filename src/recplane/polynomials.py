@@ -19,7 +19,8 @@ MAX_EXPONENT.
 
 The layout stays in this module.  Elsewhere a monomial is read with
 `mono_pairs`, or, in hot loops, as `(m >> ring.shift_of(name)) &
-MAX_EXPONENT`.
+MAX_EXPONENT`.  Printing (`format_terms`) walks the ring's display order,
+built on the first print.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class PolyRing:
     s > t2 > t1.  `guard` has the guard bit of every variable's field set.
     """
 
-    __slots__ = ("field", "variables", "guard", "_shift_of", "_name_of")
+    __slots__ = ("field", "variables", "guard", "_shift_of", "_display")
 
     def __init__(self, field, variables: Iterable[str]):
         self.field = field
@@ -89,7 +90,7 @@ class PolyRing:
         n = len(self.variables)
         # rank r = n - i sits at bit (r - 1) * _W
         self._shift_of = {v: (n - 1 - i) * _W for i, v in enumerate(self.variables)}
-        self._name_of = {n - i: v for i, v in enumerate(self.variables)}
+        self._display = None
         fields = ((1 << (n * _W)) - 1) // ((1 << _W) - 1)  # bit 0 of each field
         self.guard = fields << (_W - 1)
 
@@ -134,10 +135,27 @@ class PolyRing:
                     raise RingError(f"variable {name!r} not in ring") from None
         return m
 
+    def display_order(self) -> tuple:
+        """(shift, name) of every variable in display order: by family, then
+        index.  Built on the first call, so rings that are never printed
+        never sort their names."""
+        if self._display is None:
+            self._display = tuple(
+                (self._shift_of[v], v)
+                for v in sorted(self.variables, key=_display_key)
+            )
+        return self._display
+
     def mono_items(self, mono):
-        """(name, exponent) pairs in display order: by family, then index."""
-        items = [(self._name_of[r], e) for r, e in mono_pairs(mono)]
-        items.sort(key=lambda it: _display_key(it[0]))
+        """(name, exponent) pairs of the monomial, in display order."""
+        items = []
+        for shift, name in self.display_order():
+            if not mono:
+                break
+            e = (mono >> shift) & MAX_EXPONENT
+            if e:
+                items.append((name, e))
+                mono -= e << shift
         return items
 
     def shift_of(self, name: str) -> int:
@@ -378,37 +396,39 @@ class Polynomial:
         return hash((self.ring.variables, self.terms))
 
     def __str__(self):
-        return format_poly(self)
+        return format_terms(self.ring, ((self, ""),))
 
     def __repr__(self):
-        return f"<{format_poly(self)}>"
+        return f"<{self}>"
 
 
-def format_scalar_factor(field, c) -> tuple[bool, str]:
-    """(negative, magnitude-text) for display; F_p scalars are never negative."""
-    if isinstance(c, Fraction) and c < 0:
-        return True, field.fmt(-c)
-    return False, field.fmt(c)
+def format_terms(ring: PolyRing, pieces) -> str:
+    """The display text of a sum of terms, "0" when there are none.
 
-
-def format_poly(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
-    ring = p.ring
+    `pieces` yields `(poly, tail)` pairs: a polynomial of `ring`, whose
+    terms are written greatest first, and the text of the factor written
+    after each of its terms ("" for none; an exterior monomial for
+    `ExtElement`).  A unit coefficient is written only for a bare
+    constant, and a negative rational coefficient as a minus sign; F_p
+    scalars are never negative.
+    """
+    fmt = ring.field.fmt
     chunks = []
-    for m, c in p.terms:
-        neg, mag = format_scalar_factor(ring.field, c)
-        factors = []
-        if not m or mag != "1":
-            factors.append(mag)
-        for name, e in ring.mono_items(m):
-            factors.append(name if e == 1 else f"{name}^{e}")
-        text = "*".join(factors)
-        if not chunks:
-            chunks.append(f"-{text}" if neg else text)
-        else:
-            chunks.append(f"- {text}" if neg else f"+ {text}")
-    return " ".join(chunks)
+    for poly, tail in pieces:
+        for m, c in sorted(poly._d.items(), reverse=True):
+            neg = isinstance(c, Fraction) and c < 0
+            mag = fmt(-c if neg else c)
+            factors = [mag] if mag != "1" or not (m or tail) else []
+            for name, e in ring.mono_items(m):
+                factors.append(name if e == 1 else f"{name}^{e}")
+            if tail:
+                factors.append(tail)
+            text = "*".join(factors)
+            if chunks:
+                chunks.append(("- " if neg else "+ ") + text)
+            else:
+                chunks.append("-" + text if neg else text)
+    return " ".join(chunks) or "0"
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z]+\d*)|(?P<op>[*^+\-()]))")

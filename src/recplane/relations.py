@@ -132,6 +132,17 @@ class GeneratorRecord:
         return data
 
 
+def _generator_text(lines: list, generators) -> str:
+    """The header `lines`, then one line per generator: its relation's
+    support, its subset if it has one, and the element."""
+    for g in generators:
+        tag = f"L={list(g.relation.support)}"
+        if g.subset is not None:
+            tag += f" S={list(g.subset)}"
+        lines.append(f"  [{tag}] {g.element}")
+    return "\n".join(lines)
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Generators-and-relations data for the commutative or odd quotient.
@@ -173,16 +184,10 @@ class Presentation:
 
     def to_text(self) -> str:
         kind = "super" if self.super else "commutative"
-        lines = [
-            f"{kind} presentation, mode={self.mode}, m={self.arrangement.m}",
-            f"generators: {len(self.generators)}",
-        ]
-        for g in self.generators:
-            tag = f"L={list(g.relation.support)}"
-            if g.subset is not None:
-                tag += f" S={list(g.subset)}"
-            lines.append(f"  [{tag}] {g.element}")
-        return "\n".join(lines)
+        return _generator_text(
+            [f"{kind} presentation, mode={self.mode}, m={self.arrangement.m}",
+             f"generators: {len(self.generators)}"],
+            self.generators)
 
 
 def _memo_presentation(arr: Arrangement, super: bool, mode: str,
@@ -294,15 +299,10 @@ class ChartRing:
 
     def to_text(self) -> str:
         kind = "super" if self.super else "commutative"
-        lines = [
-            f"{kind} chart: flat={list(self.flat.indices)} inverted={list(self.inverted)}",
-        ]
-        for g in self.generators:
-            tag = f"L={list(g.relation.support)}"
-            if g.subset is not None:
-                tag += f" S={list(g.subset)}"
-            lines.append(f"  [{tag}] {g.element}")
-        return "\n".join(lines)
+        return _generator_text(
+            [f"{kind} chart: flat={list(self.flat.indices)} "
+             f"inverted={list(self.inverted)}"],
+            self.generators)
 
 
 class _ChartDivision:

@@ -23,7 +23,7 @@ from .polynomials import (
     Polynomial,
     PolyRing,
     RingError,
-    format_scalar_factor,
+    format_terms,
     parse_terms,
 )
 
@@ -225,27 +225,11 @@ class ExtElement:
         return hash((self.kind, self.ring.variables, self.sort_key()))
 
     def __str__(self):
-        if not self._entries:
-            return "0"
-        ring = self.ring
-        chunks = []
-        for s in self.labels():
-            ext = "*".join(ext_name(self.kind, i) for i in s)
-            for m, c in self._entries[s].terms:
-                neg, mag = format_scalar_factor(ring.field, c)
-                factors = []
-                if (not m and not s) or mag != "1":
-                    factors.append(mag)
-                for name, x in ring.mono_items(m):
-                    factors.append(name if x == 1 else f"{name}^{x}")
-                if ext:
-                    factors.append(ext)
-                text = "*".join(factors)
-                if not chunks:
-                    chunks.append(f"-{text}" if neg else text)
-                else:
-                    chunks.append(f"- {text}" if neg else f"+ {text}")
-        return " ".join(chunks)
+        kind = self.kind
+        return format_terms(self.ring, (
+            (self._entries[s], "*".join([ext_name(kind, i) for i in s]))
+            for s in self.labels()
+        ))
 
     def __repr__(self):
         return f"<ExtElement {self}>"

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from recplane.cli import main
+import recplane
+from recplane.cli import main, write_json
 
 E1_SPEC = {
     "field": {"type": "prime", "p": 2},
@@ -339,3 +343,180 @@ def test_verification_failure_exit_code(specs, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--check", "theorem1", specs["E3"])
     assert code == 1
     assert "fail" in out
+
+
+# -- the JSON writer ------------------------------------------------------------
+
+CHARS = st.characters(exclude_categories=()) | st.sampled_from(
+    "\x00\x08\x1f\x7f\"\\/\u00e9\u2028\ud800\U0001f600")
+JSON_TEXT = st.text(CHARS, max_size=12)
+JSON_SCALARS = (st.none() | st.booleans() | st.sampled_from((0, 1, -1))
+                | st.integers(-2 ** 200, 2 ** 200) | JSON_TEXT)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(JSON_TEXT, children, max_size=5)),
+    max_leaves=20)
+
+
+def written(obj):
+    parts = []
+    write_json(parts.append, obj)
+    return "".join(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_TREES)
+def test_write_json_matches_json_dumps(obj):
+    assert written(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_write_json_examples():
+    """Booleans next to 0 and 1, empty containers, tuples and escapes."""
+    obj = {"b": [True, 1, False, 0, None], "a": {}, "c": [], "d": ("x", 2),
+           "\u00e9": "\x00\u2028", "e": [[], [{}]]}
+    assert written(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert written([]) == "[]\n" and written("\u00e9") == '"\\u00e9"\n'
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(JSON_TREES, max_size=4))
+def test_write_json_streams_a_generator(items):
+    """A generator reads as a list, and each item is written out before
+    the next is made."""
+    writes = []
+    made = []
+
+    def stream():
+        for item in items:
+            made.append(len(writes))
+            yield item
+
+    write_json(writes.append, {"items": stream(), "z": 0})
+    assert "".join(writes) == json.dumps({"items": items, "z": 0}, indent=2,
+                                         sort_keys=True) + "\n"
+    assert made == list(range(len(items)))
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, float("nan"), {1, 2}, [0, 0.0], {"a": {1: "b"}}, {None: 1},
+    {True: 1}, {("a",): 1}, b"bytes", {"a": object()},
+], ids=["float", "nan", "set", "nested-float", "int-key", "none-key",
+        "bool-key", "tuple-key", "bytes", "object"])
+def test_write_json_refuses_what_a_payload_never_holds(obj):
+    with pytest.raises(TypeError):
+        written(obj)
+
+
+def test_corpus_files_are_the_json_dumps_text(tmp_path, capsys):
+    out_dir = tmp_path / "corpus"
+    code, _, _ = run_cli(capsys, "corpus", "--rational", "--count", "4",
+                         "--seed", "3", "--out", str(out_dir))
+    assert code == 0
+    for path in sorted(out_dir.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
+
+
+# -- one parser per process -------------------------------------------------------
+
+
+def test_the_parser_is_built_once(specs, capsys, monkeypatch):
+    """Later calls reuse the first call's parser, and no flag of one call
+    leaks into the next."""
+    import recplane.cli as cli
+
+    assert run_cli(capsys, "presentation", "--super", specs["E3"])[0] == 0
+
+    def refuse():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    code, out, _ = run_cli(capsys, "presentation", specs["E3"])
+    assert code == 0 and out.startswith("commutative presentation")
+    code, out, _ = run_cli(capsys, "--format", "json", "flats", specs["E3"])
+    assert code == 0 and json.loads(out)["flats"]
+
+
+# -- a reader that closes the pipe -------------------------------------------------
+
+BRAID_A4_F5 = {
+    "field": {"type": "prime", "p": 5},
+    "n": 5,
+    "hyperplanes": [[1 if k == i else -1 if k == j else 0 for k in range(5)]
+                    for i in range(5) for j in range(i + 1, 5)],
+}
+
+
+@pytest.mark.parametrize("fmt, head", [
+    ("json", b'{\n  "charts": [\n    {\n'),
+    ("text", b"super chart: flat=[] inverted=[]\n  [L="),
+])
+def test_closed_pipe_ends_quietly(tmp_path, fmt, head):
+    """`charts --super` on braid A4 writes megabytes; a reader that takes
+    100 bytes and closes the pipe gets them, and the command exits 0 with
+    nothing on stderr."""
+    spec = tmp_path / "braid_a4_f5.json"
+    spec.write_text(json.dumps(BRAID_A4_F5))
+    src = os.path.dirname(os.path.dirname(recplane.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "recplane.cli", "--format", fmt, "charts",
+         "--super", str(spec)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+    got = b""
+    while len(got) < 100:
+        chunk = proc.stdout.read(100 - len(got))
+        assert chunk, "the command ended before writing 100 bytes"
+        got += chunk
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+    assert got.startswith(head)
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone; `fileno` is a file of the test's."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_pipe_builds_no_further_charts(specs, tmp_path, monkeypatch,
+                                              fmt):
+    """The first write fails, so only the first of the triangle's five
+    charts is built, and stdout's descriptor then points at os.devnull."""
+    import recplane.cli as cli
+
+    built = []
+    chart_ring = cli.chart_ring
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return chart_ring(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "chart_ring", counted)
+    target = tmp_path / "stdout"
+    with open(target, "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        code = main(["--format", fmt, "charts", "--super", specs["E3"]])
+        monkeypatch.undo()
+        os.write(fh.fileno(), b"after the pipe closed")
+    assert code == 0
+    assert len(built) == 1
+    assert target.read_bytes() == b""
