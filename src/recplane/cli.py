@@ -423,8 +423,8 @@ def _run_corpus(args) -> int:
                 write_json(fh.write, arr.to_json())
         print(f"wrote {len(instances)} spec files to {args.out}")
     else:
-        for name, _ in instances:
-            print(name)
+        emit(args, lambda: {"instances": (name for name, _ in instances)},
+             lambda: (name for name, _ in instances))
     return EXIT_PASS
 
 

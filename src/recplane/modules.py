@@ -3,7 +3,15 @@
 Module elements are `superalg.ExtElement`s: the exterior monomials of one
 Grassmann degree are the basis labels.  The term order is TOP (term over
 position) lexicographic: monomials compare first under the ring's lex
-order, then basis labels compare via their descending index tuples.
+order, then basis labels compare via their descending index tuples.  The
+engine runs on the packed terms of `superalg`: the TOP order is int order
+on packed keys, the leading term is the greatest key, a t-multiple adds a
+shifted monomial to every key, and within one label a packed key lk
+divides a packed key k exactly when `k - lk` is non-negative with no guard
+bit of the shifted ring guard set.  Only `superalg` turns labels into
+masks; here a mask is read as `key & LABEL_MASK` and a monomial as
+`key >> LABEL_BITS`.
+
 `module_groebner` interreduces its inputs before the completion; both the
 plain and the tracked completion skip same-label pairs by the
 Gebauer-Moeller chain criterion.  The tracked completion keeps
@@ -19,16 +27,18 @@ from __future__ import annotations
 import heapq
 
 from .polynomials import ExponentOverflow, Polynomial, PolyRing, RingError
-from .superalg import ExtElement, subset_key
+from .superalg import LABEL_BITS, LABEL_MASK, ExtElement
 
 
 class IndexedBasis(list):
     """A growing basis that keeps its by-label reducer index up to date.
 
-    `module_normal_form` uses the index as it stands instead of building one,
-    so a caller that divides many elements by one list indexes it once by
-    passing an `IndexedBasis`; only `append` may change the list, or the
-    index goes stale.
+    `by_label` maps a label mask to the `(lead key, lead coefficient,
+    packed terms, index)` of each nonzero element with that leading label,
+    in order of appending.  `module_normal_form` uses the index as it
+    stands instead of building one, so a caller that divides many elements
+    by one list indexes it once by passing an `IndexedBasis`; only `append`
+    may change the list, or the index goes stale.
     """
 
     __slots__ = ("by_label",)
@@ -46,8 +56,9 @@ class IndexedBasis(list):
 
     def append(self, g):
         if not g.is_zero():
-            m, c, label = g.lt()
-            self.by_label.setdefault(label, []).append((m, c, g, len(self)))
+            lk = g.lead_key()
+            self.by_label.setdefault(lk & LABEL_MASK, []).append(
+                (lk, g._t[lk], g._t, len(self)))
         super().append(g)
 
 
@@ -61,60 +72,42 @@ def module_normal_form(v: ExtElement, basis, track=False):
     if not isinstance(basis, IndexedBasis):
         basis = IndexedBasis(basis)
     by_label = basis.by_label
-    field = v.ring.field
-    guard = v.ring.guard
-    work = {s: dict(p._d) for s, p in v._entries.items()}
+    ring = v.ring
+    field = ring.field
+    zero = field.zero
+    guard = ring.guard << LABEL_BITS
+    work = dict(v._t)
     rem: dict = {}
     quots: dict = {} if track else None
     while work:
-        # leading term across labels
-        best_key = None
-        best = None
-        for label, d in work.items():
-            m = max(d)
-            key = (m, subset_key(label))
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (m, label)
-        m, label = best
-        c = work[label][m]
-        for lm, lc, g, idx in by_label.get(label, ()):
-            shift = m - lm  # the quotient, when lm divides m
+        k = max(work)
+        for lk, lc, terms, idx in by_label.get(k & LABEL_MASK, ()):
+            shift = k - lk  # the packed quotient, when lk divides k
             if shift >= 0 and not shift & guard:
                 break
         else:
-            rem.setdefault(label, {})[m] = c
-            del work[label][m]
-            if not work[label]:
-                del work[label]
+            rem[k] = work.pop(k)
             continue
-        factor = field.div(c, lc)
+        factor = field.div(work[k], lc)
         if track:
             qd = quots.setdefault(idx, {})
-            s = field.add(qd.get(shift, field.zero), factor)
-            if s == field.zero:
-                qd.pop(shift, None)
+            q = shift >> LABEL_BITS
+            s = field.add(qd.get(q, zero), factor)
+            if s == zero:
+                qd.pop(q, None)
             else:
-                qd[shift] = s
-        for s, p in g._entries.items():
-            d = work.get(s)
-            if d is None:
-                d = work[s] = {}
-            for gm, gc in p._d.items():
-                key = gm + shift
-                if key & guard:
-                    raise ExponentOverflow()
-                val = field.sub(d.get(key, field.zero), field.mul(factor, gc))
-                if val == field.zero:
-                    d.pop(key, None)
-                else:
-                    d[key] = val
-            if not d:
-                del work[s]
-    ring = v.ring
-    remainder = ExtElement._unfiltered(
-        ring, {s: Polynomial(ring, d) for s, d in rem.items()}, v.kind
-    )
+                qd[q] = s
+        # the leading term cancels k itself
+        for gk, gc in terms.items():
+            key = gk + shift
+            if key & guard:
+                raise ExponentOverflow()
+            val = field.sub(work.get(key, zero), field.mul(factor, gc))
+            if val == zero:
+                work.pop(key, None)
+            else:
+                work[key] = val
+    remainder = ExtElement._of_packed(ring, rem, v.kind)
     if track:
         return remainder, {
             i: Polynomial(ring, d) for i, d in quots.items() if d
@@ -125,14 +118,36 @@ def module_normal_form(v: ExtElement, basis, track=False):
 def _spair(f: ExtElement, g: ExtElement):
     """S-pair data for elements whose leading terms share a label."""
     ring = f.ring
-    mf, cf, _ = f.lt()
-    mg, cg, _ = g.lt()
+    field = ring.field
+    zero = field.zero
+    kf = f.lead_key()
+    kg = g.lead_key()
+    mf = kf >> LABEL_BITS
+    mg = kg >> LABEL_BITS
     lcm = ring.mono_lcm(mf, mg)
-    af = ring.field.inv(cf)
-    ag = ring.field.inv(cg)
-    sf = ring.mono_div(lcm, mf)
-    sg = ring.mono_div(lcm, mg)
-    return f.mul_term(af, sf) - g.mul_term(ag, sg), (af, sf), (ag, sg)
+    af = field.inv(f._t[kf])
+    ag = field.inv(g._t[kg])
+    sf = lcm - mf
+    sg = lcm - mg
+    guard = ring.guard << LABEL_BITS
+    df = sf << LABEL_BITS
+    dg = sg << LABEL_BITS
+    one = field.one
+    if af == one:
+        t = {k + df: c for k, c in f._t.items()}
+    else:
+        t = {k + df: field.mul(af, c) for k, c in f._t.items()}
+    for k, c in g._t.items():
+        key = k + dg
+        val = field.sub(t.get(key, zero), c if ag == one else field.mul(ag, c))
+        if val == zero:
+            t.pop(key, None)
+        else:
+            t[key] = val
+    for key in t:
+        if key & guard:
+            raise ExponentOverflow()
+    return ExtElement._of_packed(ring, t, f.kind), (af, sf), (ag, sg)
 
 
 def _row_combine(ring, terms):
@@ -154,10 +169,16 @@ def _chain_criterion(G, pending, i, j):
     already treated.
     """
     ring = G[i].ring
-    mi, _, label = G[i].lt()
-    lcm = ring.mono_lcm(mi, G[j].lt()[0])
-    for mk, _, _, k in G.by_label[label]:
-        if k == i or k == j or not ring.mono_divides(mk, lcm):
+    guard = ring.guard << LABEL_BITS
+    ki = G[i].lead_key()
+    mi = ki >> LABEL_BITS
+    lcm = ki + ((ring.mono_lcm(mi, G[j].lead_key() >> LABEL_BITS) - mi)
+                << LABEL_BITS)
+    for lk, _, _, k in G.by_label[ki & LABEL_MASK]:
+        if k == i or k == j:
+            continue
+        d = lcm - lk
+        if d < 0 or d & guard:
             continue
         if ((min(i, k), max(i, k)) not in pending
                 and (min(j, k), max(j, k)) not in pending):
@@ -198,11 +219,12 @@ def module_buchberger(gens, *, track=False, track_limit=None):
     pending = set()
 
     def push_pairs(j):
-        mj, _, labj = G[j].lt()
-        for mi, _, _, i in G.by_label[labj]:
+        kj = G[j].lead_key()
+        mj = kj >> LABEL_BITS
+        for ki, _, _, i in G.by_label[kj & LABEL_MASK]:
             if i < j:
-                heapq.heappush(heap, (ring.mono_degree(ring.mono_lcm(mi, mj)),
-                                      i, j))
+                lcm = ring.mono_lcm(ki >> LABEL_BITS, mj)
+                heapq.heappush(heap, (ring.mono_degree(lcm), i, j))
                 pending.add((i, j))
 
     for j in range(len(G)):
@@ -229,7 +251,7 @@ def module_buchberger(gens, *, track=False, track_limit=None):
             if track:
                 syz.append(row)
         else:
-            _, lc, _ = r.lt()
+            lc = r._t[r.lead_key()]
             if lc != field.one:
                 inv = field.inv(lc)
                 r = r.scale(inv)
@@ -242,9 +264,7 @@ def module_buchberger(gens, *, track=False, track_limit=None):
     return G, reps, syz
 
 
-def _lt_key(g):
-    m, _, label = g.lt()
-    return (m, subset_key(label))
+_lt_key = ExtElement.lead_key  # the TOP order as a sort key
 
 
 def reduce_module_basis(G):
@@ -258,10 +278,12 @@ def reduce_module_basis(G):
     `IndexedBasis` and may grow only by `append`.
     """
     reduced = IndexedBasis()
+    by_label = reduced.by_label
     for g in sorted((g for g in G if not g.is_zero()), key=_lt_key):
-        m, _, label = g.lt()
-        if not any(g.ring.mono_divides(hm, m)
-                   for hm, _, _, _ in reduced.by_label.get(label, ())):
+        k = g.lead_key()
+        guard = g.ring.guard << LABEL_BITS
+        if not any(k - lk >= 0 and not (k - lk) & guard
+                   for lk, _, _, _ in by_label.get(k & LABEL_MASK, ())):
             reduced.append(module_normal_form(g, reduced).monic())
     return reduced
 
@@ -292,9 +314,9 @@ def module_spair_remainders(G):
     """
     reducers = IndexedBasis(G)
     for members in reducers.by_label.values():
-        for a, (_, _, f, i) in enumerate(members):
-            for _, _, g, j in members[a + 1:]:
-                s, _, _ = _spair(f, g)
+        for a, (_, _, _, i) in enumerate(members):
+            for _, _, _, j in members[a + 1:]:
+                s, _, _ = _spair(reducers[i], reducers[j])
                 yield i, j, module_normal_form(s, reducers)
 
 

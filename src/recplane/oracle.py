@@ -257,14 +257,15 @@ class _SharedSubstitution:
 
 
 def _substitute(shared: _SharedSubstitution, flat, ring: PolyRing,
-                entries: dict, min_den: int = 0) -> LocalizedOmega:
+                terms, min_den: int = 0) -> LocalizedOmega:
     """The one substitution core behind eval_h, eval_psi and eval_chart.
 
     Off the flat t_i -> 1/z_i(x) and u_i -> dz_i(x)/z_i(x); on it
-    z_j -> z_j(x) and dz_j -> dz_j(x).  `entries` maps exterior index
-    tuples to polynomials of `ring`, whose variables are t_i off the flat
-    and z_j on it.  Every term is put over the common denominator, a power
-    of the product of the off-flat forms, with exponent at least `min_den`.
+    z_j -> z_j(x) and dz_j -> dz_j(x).  `terms` yields the (exterior
+    index tuple, monomial, coefficient) of each term over `ring`, whose
+    variables are t_i off the flat and z_j on it.  Every term is put over
+    the common denominator, a power of the product of the off-flat forms,
+    with exponent at least `min_den`.
     """
     field = shared.arr.field
     m = shared.arr.m
@@ -273,13 +274,12 @@ def _substitute(shared: _SharedSubstitution, flat, ring: PolyRing,
     on = [(j - 1, ring.shift_of(f"z{j}")) for j in sorted(flat)]
     pieces = []
     n_common = min_den
-    for s, p in entries.items():
-        for mono, c in p._d.items():
-            need = [((mono >> sh) & MAX_EXPONENT) + (k + 1 in s)
-                    for k, sh in off]
-            if need:
-                n_common = max(n_common, max(need))
-            pieces.append((s, c, need, mono))
+    for s, mono, c in terms:
+        need = [((mono >> sh) & MAX_EXPONENT) + (k + 1 in s)
+                for k, sh in off]
+        if need:
+            n_common = max(n_common, max(need))
+        pieces.append((s, c, need, mono))
     out: dict = {}
     for s, c, need, mono in pieces:
         vec = [0] * m
@@ -316,14 +316,20 @@ def _combination(field, terms) -> Polynomial:
     return Polynomial(p.ring, acc)
 
 
+def _poly_terms(f: Polynomial):
+    """The terms of a polynomial as exterior-degree-0 substitution terms."""
+    return (((), mono, c) for mono, c in f._d.items())
+
+
 def eval_h(arr: Arrangement, f: Polynomial) -> LocalizedOmega:
     """Substitute t_i -> 1/z_i and clear to the common denominator."""
-    return _substitute(_SharedSubstitution(arr), (), f.ring, {(): f})
+    return _substitute(_SharedSubstitution(arr), (), f.ring, _poly_terms(f))
 
 
 def eval_psi(arr: Arrangement, xi: ExtElement) -> LocalizedOmega:
     """Substitute t_i -> 1/z_i, u_i -> dz_i/z_i; expand dz into dx."""
-    return _substitute(_SharedSubstitution(arr), (), xi.ring, xi._entries)
+    return _substitute(_SharedSubstitution(arr), (), xi.ring,
+                       xi.label_terms())
 
 
 def eval_chart(arr: Arrangement, flat: Flat, element,
@@ -334,9 +340,10 @@ def eval_chart(arr: Arrangement, flat: Flat, element,
     dz_j -> dz_j(x) on it.  Only the outside forms are inverted.  `shared`
     is the state of the caller's call group, made anew when not given.
     """
-    entries = {(): element} if isinstance(element, Polynomial) else element._entries
+    terms = (_poly_terms(element) if isinstance(element, Polynomial)
+             else element.label_terms())
     return _substitute(shared or _SharedSubstitution(arr), flat.indices,
-                       element.ring, entries)
+                       element.ring, terms)
 
 
 # -- kernels from first principles ---------------------------------------------
@@ -1000,8 +1007,7 @@ def _rank_images(arr: Arrangement, super: bool, deg: int):
     shared = _SharedSubstitution(arr, unkept=2)
     for r, B in labels:
         for m in _t_monomials_of_degree(ring, (deg - r) // 2):
-            poly = Polynomial(ring, {m: arr.field.one})
-            yield _substitute(shared, (), ring, {B: poly}, den)
+            yield _substitute(shared, (), ring, ((B, m, arr.field.one),), den)
 
 
 def _rank_dimension(arr: Arrangement, super: bool, deg: int) -> int:
@@ -1010,9 +1016,8 @@ def _rank_dimension(arr: Arrangement, super: bool, deg: int) -> int:
     vecs = []
     for img in _rank_images(arr, super, deg):
         vec = {}
-        for s, poly in img.numerator._entries.items():
-            for mono, c in poly._d.items():
-                vec[cols.setdefault((s, mono), len(cols))] = c
+        for term, c in img.numerator._t.items():
+            vec[cols.setdefault(term, len(cols))] = c
         vecs.append(vec)
     return _sparse_rank(arr.field, vecs, len(cols))
 

@@ -361,23 +361,20 @@ def chart_divide(division: _ChartDivision, rel: Relation, element):
     """Divide a generator by t_{S_V intersect support} on the chart."""
     divisors = sorted(division.s_v & set(rel.support))
     ring = division.ring
-    field = ring.field
-
-    def convert(poly_dict, subset):
+    if isinstance(element, Polynomial):
+        field = ring.field
         d = {}
-        for m, c in poly_dict.items():
-            key = division.monomial(m, divisors, subset)
+        for m, c in element._d.items():
+            key = division.monomial(m, divisors, ())
             got = field.add(d.get(key, field.zero), c)
             if got == field.zero:
                 d.pop(key, None)
             else:
                 d[key] = got
         return Polynomial(ring, d)
-
-    if isinstance(element, Polynomial):
-        return convert(element._d, ())
-    entries = {s: convert(p._d, s) for s, p in element._entries.items()}
-    return ExtElement(ring, entries, frozenset(division.s_v))
+    return element.map_monomials(
+        lambda m, subset: division.monomial(m, divisors, subset),
+        ring, frozenset(division.s_v))
 
 
 def chart_ring(

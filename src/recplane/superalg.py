@@ -1,15 +1,30 @@
 """Exterior-algebra elements over a polynomial ring.
 
 One class, `ExtElement`, holds every element of R (x) Lambda the library
-uses: a map from ascending index tuples (the exterior part, or the basis
-labels of a free module) to polynomial coefficients.  The kind of exterior
-variable is an attribute, not a subclass:
+uses: a sum of terms c * x^a * e_S, where S is an ascending index tuple
+(the exterior part, or the basis label of a free module).  The kind of
+exterior variable is an attribute, not a subclass:
 
 - ``"u"``: F[t] (x) Lambda[u], the odd presentations and their kernels;
 - ``"dz"``: F[t] (x) Lambda[dz], the differential forms P_{L,S} come from;
 - ``"dx"``: F[x] (x) Lambda[dx], the localized target of the evaluations;
 - a frozenset of form indices: a chart on that flat, where index j reads
   dz_j on the flat and u_j off it.
+
+An element is stored as one flat dict {packed term: coefficient}.  A term
+packs its monomial (the int of `polynomials`) above the `LABEL_BITS`-bit
+mask of its label, bit i - 1 for index i: `(mono << LABEL_BITS) | mask`.
+Int order on masks is the order of labels by their descending index tuples
+(`subset_key`), so int order on packed terms is the TOP (term over
+position) lex order of the free module, and the greatest key is the
+leading term.  Multiplying by x^b adds `b << LABEL_BITS` to every key, and
+the product of two terms with disjoint labels is the sum of their keys.
+An index outside 1..LABEL_BITS has no bit and is refused (a RingError), so
+no label reaches into the monomial bits.  This module alone turns labels
+into masks and back: `entries` builds a label -> Polynomial view on
+demand, for printing; `label_terms` yields (label, monomial, coefficient)
+triples for the substitution core, and `map_monomials` rewrites the
+monomials of every term, for the chart division.
 
 Kind takes part in equality and in every operation on two elements.  Signs
 are normalized into the coefficients at construction, so equality is
@@ -18,8 +33,11 @@ structural.  Exterior squares vanish in every characteristic, including 2.
 
 from __future__ import annotations
 
+import functools
+
 from .polynomials import (
     MAX_EXPONENT,
+    ExponentOverflow,
     Polynomial,
     PolyRing,
     RingError,
@@ -28,6 +46,9 @@ from .polynomials import (
 )
 
 U, DZ, DX = "u", "dz", "dx"
+
+LABEL_BITS = 32  # label bits below the monomial in a packed term
+LABEL_MASK = (1 << LABEL_BITS) - 1
 
 
 class UnconvertibleMonomial(ValueError):
@@ -41,6 +62,44 @@ class UnconvertibleMonomial(ValueError):
 def subset_key(subset):
     """Sort key making the label order total: larger descending tuple wins."""
     return subset[::-1]
+
+
+def label_mask(label) -> int:
+    """The mask of an ascending index tuple: bit i - 1 for index i."""
+    mask = 0
+    prev = 0
+    for i in label:
+        if i <= prev or i > LABEL_BITS:
+            raise RingError(
+                f"label {tuple(label)} is not an ascending tuple of indices "
+                f"in 1..{LABEL_BITS}")
+        mask |= 1 << (i - 1)
+        prev = i
+    return mask
+
+
+@functools.cache
+def mask_label(mask: int) -> tuple:
+    """The ascending index tuple of a label mask."""
+    out = []
+    i = 1
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+def _odd_swaps(a: int, b: int) -> bool:
+    """Whether e_A * e_B = -e_{A+B} for disjoint masks a, b: the pairs
+    i in A, j in B with i > j are odd in number."""
+    n = 0
+    while a:
+        low = a & -a
+        n += (b & (low - 1)).bit_count()  # the indices of B below low
+        a ^= low
+    return bool(n & 1)
 
 
 def ext_name(kind, i: int) -> str:
@@ -73,36 +132,59 @@ def merge_subsets(s1, s2):
     return sign, tuple(sorted(s1 + s2))
 
 
+def _check_packed_guard(ring: PolyRing, keys) -> None:
+    guard = ring.guard << LABEL_BITS
+    for k in keys:
+        if k & guard:
+            raise ExponentOverflow()
+
+
+def _terms_by_mask(e: ExtElement) -> dict:
+    """{label mask: [(packed key, coefficient), ...]} of e's terms."""
+    out: dict = {}
+    for k, c in e._t.items():
+        out.setdefault(k & LABEL_MASK, []).append((k, c))
+    return out
+
+
 class ExtElement:
-    """Immutable element; polynomial entries keyed by ascending label tuple.
+    """Immutable element; one dict {packed term: coefficient}, no zero
+    coefficient stored.
 
     As a free-module element the term order is TOP (term over position)
     lex: monomials compare under the ring's lex order first, then labels by
-    their descending index tuples (`subset_key`).
+    their descending index tuples (`subset_key`).  That is int order on
+    packed terms, so `lead_key()` is the greatest key.
     """
 
-    __slots__ = ("ring", "kind", "_entries", "_lt")
+    __slots__ = ("ring", "kind", "_t", "_lead")
 
     def __init__(self, ring: PolyRing, entries: dict, kind=U):
+        """The element with polynomial entries {label: Polynomial}."""
         self.ring = ring
         self.kind = kind
-        self._entries = {s: p for s, p in entries.items() if not p.is_zero()}
-        self._lt = None
+        t = {}
+        for label, p in entries.items():
+            mask = label_mask(label)
+            for m, c in p._d.items():
+                t[(m << LABEL_BITS) | mask] = c
+        self._t = t
+        self._lead = None
 
     @classmethod
-    def _unfiltered(cls, ring: PolyRing, entries: dict, kind=U):
-        """The element with `entries` as they are, for callers whose
-        entries hold no zero polynomial; nothing is copied or dropped."""
+    def _of_packed(cls, ring: PolyRing, t: dict, kind=U):
+        """The element with packed terms `t` as they are, for callers whose
+        dict holds no zero coefficient; nothing is copied or dropped."""
         e = cls.__new__(cls)
         e.ring = ring
         e.kind = kind
-        e._entries = entries
-        e._lt = None
+        e._t = t
+        e._lead = None
         return e
 
     @classmethod
     def zero(cls, ring, kind=U):
-        return cls(ring, {}, kind)
+        return cls._of_packed(ring, {}, kind)
 
     @classmethod
     def from_poly(cls, poly: Polynomial, kind=U):
@@ -114,99 +196,155 @@ class ExtElement:
 
     @property
     def entries(self):
-        return dict(self._entries)
+        """{label: Polynomial}, built anew on each call, labels ascending."""
+        by_mask = _terms_by_mask(self)
+        return {
+            mask_label(mask): Polynomial(
+                self.ring, {k >> LABEL_BITS: c for k, c in by_mask[mask]})
+            for mask in sorted(by_mask)
+        }
+
+    def label_terms(self):
+        """(label, monomial, coefficient) of every term."""
+        for k, c in self._t.items():
+            yield mask_label(k & LABEL_MASK), k >> LABEL_BITS, c
+
+    def map_monomials(self, fn, ring: PolyRing, kind):
+        """The element of `ring` and `kind` with each term c * x^m * e_S
+        made c * x^fn(m, S) * e_S; terms that meet are added."""
+        field = ring.field
+        zero = field.zero
+        t: dict = {}
+        for k, c in self._t.items():
+            mask = k & LABEL_MASK
+            key = (fn(k >> LABEL_BITS, mask_label(mask)) << LABEL_BITS) | mask
+            got = field.add(t.get(key, zero), c)
+            if got == zero:
+                del t[key]
+            else:
+                t[key] = got
+        return ExtElement._of_packed(ring, t, kind)
 
     def entry(self, label) -> Polynomial:
-        return self._entries.get(tuple(label), self.ring.zero())
+        mask = label_mask(tuple(label))
+        return Polynomial(self.ring, {
+            k >> LABEL_BITS: c for k, c in self._t.items()
+            if k & LABEL_MASK == mask
+        })
 
     def labels(self):
-        return sorted(self._entries, key=subset_key)
+        return [mask_label(mask)
+                for mask in sorted({k & LABEL_MASK for k in self._t})]
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not self._t
 
     def grassmann_degrees(self):
-        return sorted({len(s) for s in self._entries})
+        return sorted({(k & LABEL_MASK).bit_count() for k in self._t})
+
+    def lead_key(self) -> int:
+        """The packed leading term under TOP-lex: the greatest key."""
+        if self._lead is None:
+            if not self._t:
+                raise ValueError("zero element has no leading term")
+            self._lead = max(self._t)
+        return self._lead
 
     def lt(self):
         """(monomial, coefficient, label) of the leading term under TOP-lex."""
-        if self._lt is None:
-            if not self._entries:
-                raise ValueError("zero element has no leading term")
-            best = None
-            best_key = None
-            for label, p in self._entries.items():
-                m = p.lm()
-                key = (m, subset_key(label))
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best = (m, p._d[m], label)
-            self._lt = best
-        return self._lt
+        k = self.lead_key()
+        return k >> LABEL_BITS, self._t[k], mask_label(k & LABEL_MASK)
 
     def _map(self, fn):
-        return ExtElement(self.ring, {s: fn(p) for s, p in self._entries.items()},
-                          self.kind)
+        return ExtElement._of_packed(
+            self.ring, {k: fn(c) for k, c in self._t.items()}, self.kind)
+
+    def _combine(self, other, op):
+        self._check(other)
+        field = self.ring.field
+        t = dict(self._t)
+        zero = field.zero
+        for k, c in other._t.items():
+            s = op(t.get(k, zero), c)
+            if s == zero:
+                t.pop(k, None)
+            else:
+                t[k] = s
+        return ExtElement._of_packed(self.ring, t, self.kind)
 
     def __add__(self, other):
-        self._check(other)
-        entries = dict(self._entries)
-        for s, p in other._entries.items():
-            q = entries.get(s)
-            entries[s] = p if q is None else q + p
-        return ExtElement(self.ring, entries, self.kind)
+        return self._combine(other, self.ring.field.add)
 
     def __sub__(self, other):
-        self._check(other)
-        entries = dict(self._entries)
-        for s, p in other._entries.items():
-            q = entries.get(s)
-            entries[s] = -p if q is None else q - p
-        return ExtElement(self.ring, entries, self.kind)
+        return self._combine(other, self.ring.field.sub)
 
     def __neg__(self):
-        return self._map(lambda p: -p)
+        field = self.ring.field
+        if field.char == 2:
+            return self
+        return self._map(field.neg)
 
     def scale(self, c):
-        return self._map(lambda p: p.scale(c))
+        field = self.ring.field
+        if c == field.zero:
+            return ExtElement.zero(self.ring, self.kind)
+        if c == field.one:
+            return self
+        mul = field.mul
+        return self._map(lambda x: mul(c, x))
 
     def poly_mul(self, poly: Polynomial):
-        return self._map(lambda p: p * poly)
-
-    def mul_term(self, c, mono):
-        return self._map(lambda p: p.mul_term(c, mono))
+        field = self.ring.field
+        zero = field.zero
+        shifted = [(m << LABEL_BITS, x) for m, x in poly._d.items()]
+        acc: dict = {}
+        for k, c in self._t.items():
+            for s, x in shifted:
+                key = k + s
+                got = field.add(acc.get(key, zero), field.mul(c, x))
+                if got == zero:
+                    del acc[key]
+                else:
+                    acc[key] = got
+        _check_packed_guard(self.ring, acc)
+        return ExtElement._of_packed(self.ring, acc, self.kind)
 
     def monic(self):
-        if not self._entries:
+        if not self._t:
             return self
-        _, c, _ = self.lt()
+        c = self._t[self.lead_key()]
         if c == self.ring.field.one:
             return self
         return self.scale(self.ring.field.inv(c))
 
     def lift(self, parent_ring: PolyRing):
-        return ExtElement(
-            parent_ring,
-            {s: self.ring.lift(p, parent_ring) for s, p in self._entries.items()},
-            self.kind,
-        )
+        """Reinterpret in `parent_ring`, which extends the ring by greater
+        variables; ranks do not move, so neither do packed terms."""
+        k = len(parent_ring.variables) - len(self.ring.variables)
+        if k < 0 or parent_ring.variables[k:] != self.ring.variables:
+            raise RingError("target ring does not extend this ring")
+        return ExtElement._of_packed(parent_ring, dict(self._t), self.kind)
 
     def restrict(self, subring: PolyRing):
-        return ExtElement(
-            subring,
-            {s: self.ring.restrict(p, subring) for s, p in self._entries.items()},
-            self.kind,
-        )
+        """Reinterpret in `subring`, the ring without its greatest
+        variables; no term may use a dropped one."""
+        k = len(self.ring.variables) - len(subring.variables)
+        if k < 0 or self.ring.variables[k:] != subring.variables:
+            raise RingError("subring must drop a prefix of greatest variables")
+        # the greatest key has the lex-greatest monomial, which involves a
+        # dropped variable if any does
+        if self._t and self.lead_key() >> (
+                LABEL_BITS + subring.guard.bit_length()):
+            raise RingError("element involves dropped variables")
+        return ExtElement._of_packed(subring, dict(self._t), self.kind)
 
     def uses_variable(self, name: str) -> bool:
-        shift = self.ring.shift_of(name)
-        return any(
-            (m >> shift) & MAX_EXPONENT for p in self._entries.values() for m in p._d
-        )
+        shift = LABEL_BITS + self.ring.shift_of(name)
+        return any((k >> shift) & MAX_EXPONENT for k in self._t)
 
     def sort_key(self):
-        """Canonical key: term list sorted descending, for deterministic output."""
-        return tuple((subset_key(s), self._entries[s].terms) for s in self.labels())
+        """Canonical key: the packed terms, descending."""
+        return tuple(sorted(self._t.items(), reverse=True))
 
     def _check(self, other):
         if (not isinstance(other, ExtElement) or other.kind != self.kind
@@ -218,7 +356,7 @@ class ExtElement:
             isinstance(other, ExtElement)
             and other.kind == self.kind
             and other.ring == self.ring
-            and other._entries == self._entries
+            and other._t == self._t
         )
 
     def __hash__(self):
@@ -227,8 +365,8 @@ class ExtElement:
     def __str__(self):
         kind = self.kind
         return format_terms(self.ring, (
-            (self._entries[s], "*".join([ext_name(kind, i) for i in s]))
-            for s in self.labels()
+            (p, "*".join([ext_name(kind, i) for i in s]))
+            for s, p in self.entries.items()
         ))
 
     def __repr__(self):
@@ -236,36 +374,50 @@ class ExtElement:
 
 
 def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
-    """Graded-commutative product; exterior squares vanish identically."""
+    """Graded-commutative product; exterior squares vanish identically.
+
+    Two terms with disjoint labels multiply to the sum of their keys, with
+    the shuffle sign of the labels."""
     a._check(b)
-    entries: dict = {}
-    for s1, p1 in a._entries.items():
-        for s2, p2 in b._entries.items():
-            sign, s = merge_subsets(s1, s2)
-            if sign == 0:
+    field = a.ring.field
+    zero = field.zero
+    b_by_mask = _terms_by_mask(b)
+    acc: dict = {}
+    for ma, a_terms in _terms_by_mask(a).items():
+        for mb, b_terms in b_by_mask.items():
+            if ma & mb:
                 continue
-            prod = p1 * p2
-            if sign < 0:
-                prod = -prod
-            q = entries.get(s)
-            entries[s] = prod if q is None else q + prod
-    return ExtElement(a.ring, entries, a.kind)
+            odd = _odd_swaps(ma, mb)
+            for ka, ca in a_terms:
+                if odd:
+                    ca = field.neg(ca)
+                for kb, cb in b_terms:
+                    key = ka + kb
+                    got = field.add(acc.get(key, zero), field.mul(ca, cb))
+                    if got == zero:
+                        del acc[key]
+                    else:
+                        acc[key] = got
+    _check_packed_guard(a.ring, acc)
+    return ExtElement._of_packed(a.ring, acc, a.kind)
 
 
 def ext_mul_monomial(subset, e: ExtElement) -> ExtElement:
     """The product of the exterior monomial with index set `subset` and e.
 
-    Equal to `ext_mul` with the unit-coefficient monomial on the left, but no
-    polynomial is multiplied: each label s of e becomes subset + s with the
-    shuffle sign, or drops out when it meets `subset`.  Distinct labels stay
-    distinct, so no two terms combine.
+    Equal to `ext_mul` with the unit-coefficient monomial on the left, but
+    nothing is multiplied: a term of e whose label meets `subset` drops
+    out, and every other one gains the subset's bits, negated when the
+    shuffle sign is -1.  Distinct terms stay distinct, so none combine.
     """
-    entries = {}
-    for s, p in e._entries.items():
-        sign, merged = merge_subsets(subset, s)
-        if sign:
-            entries[merged] = p if sign > 0 else -p
-    return ExtElement._unfiltered(e.ring, entries, e.kind)
+    cmask = label_mask(subset)
+    neg = e.ring.field.neg
+    t = {}
+    for k, c in e._t.items():
+        mask = k & LABEL_MASK
+        if not mask & cmask:
+            t[k | cmask] = neg(c) if _odd_swaps(cmask, mask) else c
+    return ExtElement._of_packed(e.ring, t, e.kind)
 
 
 def xi_from_tdz(e: ExtElement) -> ExtElement:
@@ -278,22 +430,23 @@ def xi_from_tdz(e: ExtElement) -> ExtElement:
     if e.kind != DZ:
         raise RingError("only dz elements convert to u elements")
     ring = e.ring
-    entries: dict = {}
-    for s, p in e._entries.items():
-        t_s = ring.mono({f"t{j}": 1 for j in s})
-        d = {}
-        for m, c in p._d.items():
-            if not ring.mono_divides(t_s, m):
-                name = "*".join(
-                    f"{n}^{x}" if x > 1 else n for n, x in ring.mono_items(m)
-                )
-                dzs = "*".join(f"dz{j}" for j in s)
-                raise UnconvertibleMonomial(f"{name or '1'}*{dzs}")
-            d[m - t_s] = c
-        poly = Polynomial(ring, d)
-        q = entries.get(s)
-        entries[s] = poly if q is None else q + poly
-    return ExtElement(ring, entries, U)
+    t_of: dict = {}  # label mask -> t_S
+    t = {}
+    for k, c in e._t.items():
+        mask = k & LABEL_MASK
+        t_s = t_of.get(mask)
+        if t_s is None:
+            t_s = t_of[mask] = ring.mono(
+                {f"t{j}": 1 for j in mask_label(mask)})
+        m = k >> LABEL_BITS
+        if not ring.mono_divides(t_s, m):
+            name = "*".join(
+                f"{n}^{x}" if x > 1 else n for n, x in ring.mono_items(m)
+            )
+            dzs = "*".join(f"dz{j}" for j in mask_label(mask))
+            raise UnconvertibleMonomial(f"{name or '1'}*{dzs}")
+        t[k - (t_s << LABEL_BITS)] = c
+    return ExtElement._of_packed(ring, t, U)
 
 
 def parse_ext(ring: PolyRing, text: str, kind=U) -> ExtElement:

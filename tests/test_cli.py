@@ -323,6 +323,19 @@ def test_corpus_listing_deterministic(capsys):
     assert out1 == out2
 
 
+def test_corpus_listing_as_json(capsys):
+    """`--format json` lists the same names as the text, in one object."""
+    args = ("corpus", "--p", "3", "--max-n", "2", "--max-m", "2")
+    code, text, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "--format", "json", *args)
+    assert code == 0
+    names = text.splitlines()
+    assert names
+    assert out == json.dumps({"instances": names}, indent=2,
+                             sort_keys=True) + "\n"
+
+
 def test_rational_corpus_seeded(capsys):
     code, out1, _ = run_cli(capsys, "corpus", "--rational", "--count", "5",
                             "--seed", "3")
@@ -460,12 +473,37 @@ def test_closed_pipe_ends_quietly(tmp_path, fmt, head):
     nothing on stderr."""
     spec = tmp_path / "braid_a4_f5.json"
     spec.write_text(json.dumps(BRAID_A4_F5))
+    code, err, got = _read_and_close(
+        "--format", fmt, "charts", "--super", str(spec))
+    assert code == 0
+    assert err == b""
+    assert got.startswith(head)
+
+
+@pytest.mark.parametrize("fmt, head", [
+    ("json", b'{\n  "instances": [\n    "q_seed1_'),
+    ("text", b"q_seed1_"),
+])
+def test_corpus_listing_closed_pipe_ends_quietly(fmt, head):
+    """The corpus listing goes through `emit` too: 10,000 names are far
+    more than a pipe buffer holds, and a reader that takes 100 bytes and
+    closes the pipe leaves the command with exit 0 and an empty stderr."""
+    code, err, got = _read_and_close(
+        "--format", fmt, "corpus", "--rational", "--count", "10000",
+        "--seed", "1")
+    assert code == 0
+    assert err == b""
+    assert got.startswith(head)
+
+
+def _read_and_close(*argv):
+    """(exit code, stderr, first 100 bytes of stdout) of the CLI in a
+    subprocess whose stdout is closed after those 100 bytes."""
     src = os.path.dirname(os.path.dirname(recplane.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "recplane.cli", "--format", fmt, "charts",
-         "--super", str(spec)],
+        [sys.executable, "-m", "recplane.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
     got = b""
     while len(got) < 100:
@@ -475,9 +513,7 @@ def test_closed_pipe_ends_quietly(tmp_path, fmt, head):
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=120) == 0
-    assert err == b""
-    assert got.startswith(head)
+    return proc.wait(timeout=120), err, got
 
 
 class _ClosedPipe:

@@ -4,6 +4,7 @@ import pickle
 import random
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from recplane.fields import PrimeField, RationalField
@@ -20,12 +21,18 @@ from recplane.modules import (
     module_syzygies,
     reduce_module_basis,
 )
-from recplane.polynomials import PolyRing
-from recplane.superalg import ExtElement
+from recplane.polynomials import (
+    MAX_EXPONENT,
+    ExponentOverflow,
+    Polynomial,
+    PolyRing,
+)
+from recplane.superalg import ExtElement, subset_key
 
 Q = RationalField()
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 
 
 def t_ring(field, m):
@@ -313,7 +320,7 @@ def test_indexed_basis_survives_copy_and_pickle():
         return sorted((label, idx) for label, members in b.by_label.items()
                       for _, _, _, idx in members)
 
-    want = [((1,), 0), ((2,), 1)]
+    want = [(0b01, 0), (0b10, 1)]  # label masks of (1,) and (2,)
     for clone in (copy.copy(basis), copy.deepcopy(basis),
                   pickle.loads(pickle.dumps(basis))):
         assert isinstance(clone, modules.IndexedBasis)
@@ -478,3 +485,128 @@ def test_relation_polynomial_reduces_in_rank_one_module():
     rel = circuits(arr)[0]
     v = ExtElement(ring, {(): p_of_L(ring, rel)})
     assert module_normal_form(v, basis).is_zero()
+
+
+def _reference_normal_form(v, basis, track=False):
+    """The division that packed terms replaced, kept as the reference: one
+    {monomial: coefficient} dict per label, the leading term found by
+    comparing (monomial, subset_key(label)) across the labels, the
+    reducers indexed by label tuple in list order."""
+    by_label = {}
+    for idx, g in enumerate(basis):
+        if not g.is_zero():
+            m, c, label = g.lt()
+            by_label.setdefault(label, []).append((m, c, g.entries, idx))
+    field = v.ring.field
+    guard = v.ring.guard
+    work = {s: dict(p._d) for s, p in v.entries.items()}
+    rem = {}
+    quots = {} if track else None
+    while work:
+        best_key = None
+        best = None
+        for label, d in work.items():
+            m = max(d)
+            key = (m, subset_key(label))
+            if best_key is None or key > best_key:
+                best_key = key
+                best = (m, label)
+        m, label = best
+        c = work[label][m]
+        for lm, lc, g_entries, idx in by_label.get(label, ()):
+            shift = m - lm
+            if shift >= 0 and not shift & guard:
+                break
+        else:
+            rem.setdefault(label, {})[m] = c
+            del work[label][m]
+            if not work[label]:
+                del work[label]
+            continue
+        factor = field.div(c, lc)
+        if track:
+            qd = quots.setdefault(idx, {})
+            s = field.add(qd.get(shift, field.zero), factor)
+            if s == field.zero:
+                qd.pop(shift, None)
+            else:
+                qd[shift] = s
+        for s, p in g_entries.items():
+            d = work.get(s)
+            if d is None:
+                d = work[s] = {}
+            for gm, gc in p._d.items():
+                key = gm + shift
+                if key & guard:
+                    raise ExponentOverflow()
+                val = field.sub(d.get(key, field.zero), field.mul(factor, gc))
+                if val == field.zero:
+                    d.pop(key, None)
+                else:
+                    d[key] = val
+            if not d:
+                del work[s]
+    ring = v.ring
+    remainder = ExtElement(
+        ring, {s: Polynomial(ring, d) for s, d in rem.items()}, v.kind)
+    if track:
+        return remainder, {i: Polynomial(ring, d) for i, d in quots.items()
+                           if d}
+    return remainder
+
+
+MIXED_LABELS = tuple(
+    label for r in range(4) for label in itertools.combinations((1, 2, 3), r))
+term_lists = st.lists(
+    st.tuples(
+        st.integers(0, len(MIXED_LABELS) - 1),  # label slot
+        st.integers(1, 4),  # coefficient
+        st.tuples(*[st.integers(0, 2)] * 3),  # exponents
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((F2, F5, Q)),
+    term_lists,
+    st.lists(term_lists, max_size=6),
+    st.booleans(),
+)
+def test_normal_form_matches_the_reference_division(field, v_terms,
+                                                     basis_terms, indexed):
+    """Remainders, and quotients under track=True, equal those of the
+    dict-of-dicts division, with an `IndexedBasis` or a plain list."""
+    r = t_ring(field, 3)
+    v = from_terms(r, MIXED_LABELS, v_terms)
+    basis = [from_terms(r, MIXED_LABELS, terms) for terms in basis_terms]
+    divisor = modules.IndexedBasis(basis) if indexed else basis
+    assert module_normal_form(v, divisor) == _reference_normal_form(v, basis)
+    got = module_normal_form(v, divisor, track=True)
+    assert got == _reference_normal_form(v, basis, track=True)
+    rem, quots = got
+    if quots:
+        rem = rem + combine(basis, quots)
+    assert rem == v
+
+
+def test_module_arithmetic_raises_exponent_overflow():
+    """A division step and an S-pair whose multiples push t1 past
+    MAX_EXPONENT raise ExponentOverflow instead of wrapping into t2."""
+    r = t_ring(F5, 2)  # t2 > t1
+    g = vec(r, (1,), "t2 + t1")
+    big = ExtElement(r, {(1,): r.term(1, {"t2": 1, "t1": MAX_EXPONENT})})
+    with pytest.raises(ExponentOverflow):
+        module_normal_form(big, [g])
+    with pytest.raises(ExponentOverflow):
+        module_normal_form(big, modules.IndexedBasis([g]), track=True)
+    # lcm(t2, t2*t1^MAX) / t2 = t1^MAX multiplies g's tail t1
+    with pytest.raises(ExponentOverflow):
+        list(module_spair_remainders([g, big]))
+    with pytest.raises(ExponentOverflow):
+        module_buchberger([g, big])
+    # at MAX_EXPONENT itself the step is fine
+    edge = ExtElement(r, {(1,): r.term(1, {"t2": 1, "t1": MAX_EXPONENT - 1})})
+    assert module_normal_form(edge, [g]) == ExtElement(
+        r, {(1,): r.term(-1, {"t1": MAX_EXPONENT})})

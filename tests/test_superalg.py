@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recplane.fields import PrimeField, RationalField
-from recplane.polynomials import PolyRing, RingError
+from recplane.polynomials import MAX_EXPONENT, PolyRing, RingError
 from recplane.superalg import (
     DZ,
+    LABEL_BITS,
     U,
     ExtElement,
     UnconvertibleMonomial,
@@ -14,6 +15,7 @@ from recplane.superalg import (
     ext_mul_monomial,
     parse_ext,
     shuffle_sign,
+    subset_key,
     xi_from_tdz,
 )
 
@@ -43,6 +45,22 @@ def test_shuffle_sign_cocycle():
                 lhs = shuffle_sign(s1, s2) * shuffle_sign(tuple(sorted(s1 + s2)), s3)
                 rhs = shuffle_sign(s2, s3) * shuffle_sign(s1, tuple(sorted(s2 + s3)))
                 assert lhs == rhs
+
+
+def test_unit_products_carry_the_shuffle_sign():
+    """On label masks, e_A * e_B and u_A * e_B take the sign that
+    `shuffle_sign` gives the index tuples, and vanish when A meets B."""
+    r = ring()
+    subsets = [s for k in range(6) for s in itertools.combinations(range(1, 6), k)]
+    for A in subsets:
+        e_A = ExtElement(r, {A: r.one()})
+        for B in subsets:
+            e_B = ExtElement(r, {B: r.one()})
+            sign = shuffle_sign(A, B)
+            want = (ExtElement(r, {tuple(sorted(A + B)): r.constant(sign)})
+                    if sign else ExtElement.zero(r))
+            assert ext_mul(e_A, e_B) == want
+            assert ext_mul_monomial(A, e_B) == want
 
 
 def test_anticommutativity():
@@ -211,3 +229,51 @@ def test_conversion_respects_products_on_compatible_splits(data):
     lhs = xi_from_tdz(ext_mul(a, b))
     rhs = ext_mul(xi_from_tdz(a), xi_from_tdz(b))
     assert lhs == rhs
+
+
+def _unit_term(r, mono, label):
+    return ExtElement(r, {label: r.poly({mono: r.field.one})})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.tuples(*[st.integers(0, MAX_EXPONENT)] * 3),
+        st.sets(st.integers(1, 16), max_size=16),
+    ),
+    min_size=2, max_size=12,
+))
+def test_packed_order_is_the_top_order(terms):
+    """Sorting terms by packed key gives the order of (monomial,
+    subset_key(label)): monomial first, then labels by their descending
+    index tuples, for labels of mixed sizes over 16 indices."""
+    r = ring(F2, 3)
+    pairs = [(r.mono({f"t{i + 1}": e for i, e in enumerate(exps)}),
+              tuple(sorted(label))) for exps, label in terms]
+    by_key = sorted(pairs, key=lambda t: _unit_term(r, *t).lead_key())
+    by_top = sorted(pairs, key=lambda t: (t[0], subset_key(t[1])))
+    assert by_key == by_top
+    for mono, label in pairs:
+        assert _unit_term(r, mono, label).lt() == (mono, 1, label)
+
+
+def test_label_index_beyond_the_label_bits_is_refused():
+    """An index past LABEL_BITS would reach into the monomial bits; it is
+    refused, and so are index 0 and labels that are not ascending."""
+    r = ring(Q, 2)
+    for label in ((LABEL_BITS + 1,), (1, LABEL_BITS + 1), (0,), (2, 1), (1, 1)):
+        with pytest.raises(RingError):
+            ExtElement(r, {label: r.one()})
+    with pytest.raises(RingError):
+        ExtElement.generator(r, LABEL_BITS + 1)
+    with pytest.raises(RingError):
+        ext_mul_monomial((LABEL_BITS + 1,), ExtElement.generator(r, 1))
+    with pytest.raises(RingError):
+        parse_ext(r, f"t1*u{LABEL_BITS + 1}")
+    # the widest index stays below the least monomial: t1 * e_() leads
+    top = ExtElement.generator(r, LABEL_BITS)
+    e = top + ExtElement(r, {(): r.parse("t1")})
+    assert e.lt() == (r.mono({"t1": 1}), 1, ())
+    assert top.lt() == (0, 1, (LABEL_BITS,))
+    assert not top.uses_variable("t1")
+    assert str(e) == f"t1 + u{LABEL_BITS}"
