@@ -412,16 +412,19 @@ def _run_corpus(args) -> int:
             args.count, args.seed, args.max_n, args.max_m
         )
     elif args.p is not None:
-        instances = list(enumerate_arrangements(args.p, args.max_n, args.max_m))
+        instances = enumerate_arrangements(args.p, args.max_n, args.max_m)
     else:
         raise SpecError("corpus needs --p or --rational")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
+        written = 0
         for name, arr in instances:
             path = os.path.join(args.out, f"{name}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 write_json(fh.write, arr.to_json())
-        print(f"wrote {len(instances)} spec files to {args.out}")
+            written += 1
+        emit(args, lambda: {"out": args.out, "written": written},
+             lambda: [f"wrote {written} spec files to {args.out}"])
     else:
         emit(args, lambda: {"instances": (name for name, _ in instances)},
              lambda: (name for name, _ in instances))

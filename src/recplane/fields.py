@@ -3,6 +3,9 @@
 Scalars are plain Python values (``int`` for F_p, ``Fraction`` for Q); the
 field object carries the context and all arithmetic.  F_p values are kept as
 canonical representatives in [0, p); Fractions normalize themselves.
+`PrimeField(p)` tests p by trial division and Miller-Rabin on the 13
+primes up to 41, which is exact for p < 3,317,044,064,679,887,385,961,981
+(Sorenson and Webster 2015), and refuses a larger p.
 """
 
 from __future__ import annotations
@@ -14,14 +17,33 @@ class FieldError(ValueError):
     """Invalid field specification or cross-field operation."""
 
 
+# 41 is needed: the composite 318,665,857,834,031,151,167,461 passes the
+# twelve bases up to 37
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Trial division by the bases, then a Miller-Rabin round on each;
+    exact for p < _PRIME_BOUND (Sorenson and Webster 2015)."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -31,6 +53,9 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if p >= _PRIME_BOUND:
+            raise FieldError(f"p = {p} is too large: primality is decided "
+                             f"only below {_PRIME_BOUND}")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p

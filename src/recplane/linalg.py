@@ -1,111 +1,101 @@
 """Small dense exact linear algebra over a coefficient field.
 
-Matrices are lists of row lists of field scalars.  Everything here is plain
-Gaussian elimination; sizes stay tiny except for the Hilbert rank oracle,
-which gets a bitmask fast path over F_2.  `echelon` is forward elimination
-only; it gives `rank`, and with `in_row_space` tests many vectors against
-one row space.  `extend_echelon` grows such a row space one vector at a
-time, for a greedy basis.  `kernel_basis` back-substitutes on the echelon
-rows, and `solve_combination` reads its answer off a kernel vector.
+Matrices are lists of row lists of field scalars.  There is one row
+reduction, `_remainder`: a vector minus the multiple of each pivot row that
+clears the pivot's column.  A pivot is (column, row), the row scaled to 1 at
+its column and 0 at every earlier pivot's column and left of its own, and
+cut after its last nonzero entry; pivots are kept in the order their rows
+came.  Over F_p (p = `field.char`) the updates are int arithmetic on the
+representatives, with `% p` inline once per remainder; over Q they are plain
+Fraction arithmetic.
+
+`extend_echelon` appends the remainder of one vector as a pivot, `echelon`
+folds it over the rows and `rank` counts the pivots; `in_row_space` asks
+whether a remainder vanishes.  `kernel_basis` back-substitutes on the pivots
+in reverse arrival order, and `solve_combination` reads its answer off a
+kernel vector.  Ranks over F_2 of bitmask rows, for the Hilbert rank oracle,
+have their own path.
 """
 
 from __future__ import annotations
 
 
-def echelon(field, rows):
-    """Row echelon form by forward elimination: each pivot clears the rows
-    below it.
+def _remainder(p: int, pivots, vec) -> list:
+    """`vec` reduced by each pivot of `pivots` in turn, over F_p, or over Q
+    when p is 0: zero at every pivot column.  Over F_p the updates are
+    plain int arithmetic and the result is reduced % p once; `vec` itself
+    is not modified."""
+    v = list(vec)
+    for c, row in pivots:
+        f = v[c] % p if p else v[c]
+        if f:
+            for j in range(c, len(row)):
+                b = row[j]
+                if b:
+                    v[j] -= f * b
+    return [a % p for a in v] if p else v
 
-    Returns one (pivot column, inverse of the pivot, row) triple per pivot,
-    by increasing column.  A row counts from its pivot on: the entries left
-    of it were eliminated, but are not overwritten, and are never read.  No
-    row is scaled and nothing above a pivot is touched; only the nonzero
-    entries right of the pivot are used.  The input rows are not modified.
+
+def extend_echelon(field, pivots, vec) -> bool:
+    """Append the remainder of `vec` to `pivots` unless `vec` lies in their
+    row space; True when it was appended.
+
+    The pivot column is the remainder's first nonzero entry; the row is
+    scaled to 1 there and cut after its last nonzero entry.
     """
-    m = [list(r) for r in rows]
-    zero = field.zero
-    ncols = len(m[0]) if m else 0
-    out = []
-    for c in range(ncols):
-        rk = len(out)
-        pivot = next((i for i in range(rk, len(m)) if m[i][c] != zero), None)
-        if pivot is None:
-            continue
-        m[rk], m[pivot] = m[pivot], m[rk]
-        top = m[rk]
-        inv = field.inv(top[c])
-        tail = [(j, top[j]) for j in range(c + 1, ncols) if top[j] != zero]
-        for i in range(rk + 1, len(m)):
-            row = m[i]
-            if row[c] == zero:
-                continue
-            f = field.mul(row[c], inv)
-            for j, y in tail:
-                row[j] = field.sub(row[j], field.mul(f, y))
-        out.append((c, inv, top))
-        if len(out) == len(m):
+    p = field.char
+    v = _remainder(p, pivots, vec)
+    for c, x in enumerate(v):
+        if x:
             break
-    return out
+    else:
+        return False
+    end = len(v)
+    while not v[end - 1]:
+        end -= 1
+    inv = pow(x, -1, p) if p else field.inv(x)
+    if p:
+        pivots.append((c, [a * inv % p for a in v[:end]]))
+    else:
+        pivots.append((c, [a * inv if a else a for a in v[:end]]))
+    return True
+
+
+def echelon(field, rows):
+    """The pivots of `rows` by `extend_echelon`, one per unit of rank, in
+    arrival order; rows after full column rank are not read.  The input
+    rows are not modified."""
+    pivots = []
+    ncols = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(pivots) == ncols:
+            break
+        extend_echelon(field, pivots, row)
+    return pivots
 
 
 def rank(field, rows) -> int:
-    """Rank by forward elimination (`echelon`)."""
+    """The number of `echelon` pivots."""
     return len(echelon(field, rows))
-
-
-def _remainder(field, pivots, vec) -> list:
-    """`vec` reduced by each (pivot column, inverse of the pivot, row) of
-    `pivots` in turn.
-
-    `pivots` is `echelon` output, or is built by `extend_echelon`; a row is
-    read only from its pivot on.
-    """
-    v = list(vec)
-    zero = field.zero
-    for c, inv, row in pivots:
-        if v[c] != zero:
-            f = field.mul(v[c], inv)
-            for j in range(c, len(v)):
-                if row[j] != zero:
-                    v[j] = field.sub(v[j], field.mul(f, row[j]))
-    return v
 
 
 def in_row_space(field, pivots, vec) -> bool:
     """True when `vec` is a combination of the rows of `pivots`: its
     remainder vanishes."""
-    zero = field.zero
-    return all(x == zero for x in _remainder(field, pivots, vec))
-
-
-def extend_echelon(field, pivots, vec) -> bool:
-    """Append the remainder of `vec` to `pivots`, with its first nonzero
-    entry as pivot, unless `vec` lies in their row space; True when it was
-    appended.
-
-    The remainder vanishes at every earlier pivot column, so
-    `in_row_space` stays exact; the pivots are in the order they came,
-    not by column.
-    """
-    v = _remainder(field, pivots, vec)
-    zero = field.zero
-    c = next((j for j, x in enumerate(v) if x != zero), None)
-    if c is None:
-        return False
-    pivots.append((c, field.inv(v[c]), v))
-    return True
+    return not any(_remainder(field.char, pivots, vec))
 
 
 def kernel_basis(field, rows, ncols):
     """Basis of {v : M v = 0} for M given by `rows` (each of length ncols).
 
     One vector per free (non-pivot) column, by increasing column: it is 1
-    there and 0 at every other free column, and its pivot entries come
-    from back-substitution on the `echelon` rows, each read from its pivot
-    on.
+    there and 0 at every other free column.  Its pivot entries are solved
+    in reverse arrival order: a pivot row is 0 at every earlier pivot's
+    column, so it reads only entries already set.
     """
     pivots = echelon(field, rows)
-    pivot_cols = {c for c, _, _ in pivots}
+    pivot_cols = {c for c, _ in pivots}
+    p = field.char
     zero = field.zero
     basis = []
     for fc in range(ncols):
@@ -113,12 +103,9 @@ def kernel_basis(field, rows, ncols):
             continue
         v = [zero] * ncols
         v[fc] = field.one
-        for c, inv, row in reversed(pivots):
-            acc = zero
-            for j in range(c + 1, ncols):
-                if row[j] != zero and v[j] != zero:
-                    acc = field.add(acc, field.mul(row[j], v[j]))
-            v[c] = field.neg(field.mul(inv, acc))
+        for c, row in reversed(pivots):
+            acc = sum((a * b for a, b in zip(row, v) if a and b), zero)
+            v[c] = -acc % p if p else -acc
         basis.append(v)
     return basis
 

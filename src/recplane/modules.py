@@ -362,24 +362,19 @@ def module_preimage(map_columns, ambient_gens):
     """Generators of {f in R^c : sum f_i * column_i lies in <ambient_gens>}.
 
     Computed from syzygies of (columns ++ ambient generators) projected to the
-    column coordinates.  Rows come back as tuples of polynomials.
+    column coordinates.  Rows come back as {column index: Polynomial} over
+    their nonzero entries, by increasing index, without repeats.
     """
     columns = list(map_columns)
     c = len(columns)
     if c == 0:
         return []
-    ring = columns[0].ring
-    rows = module_syzygies(columns + list(ambient_gens), track_limit=c)
-    zero = ring.zero()
     out = []
     seen = set()
-    for row in rows:
-        vec = tuple(row.get(i, zero) for i in range(c))
-        if all(p.is_zero() for p in vec):
-            continue
-        key = tuple(p.terms for p in vec)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(vec)
+    for row in module_syzygies(columns + list(ambient_gens), track_limit=c):
+        vec = {i: row[i] for i in sorted(row)}
+        key = tuple((i, p.terms) for i, p in vec.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(vec)
     return out

@@ -61,7 +61,7 @@ from .arrangement import (
 )
 from .caps import Caps
 from .context import instance_context
-from .fields import FieldError
+from .fields import FieldError, PrimeField
 from .groebner import eliminate, groebner_ideal, ideal_equal, normal_form
 from .modules import (
     IndexedBasis,
@@ -422,7 +422,9 @@ def kernel_K_degree(arr: Arrangement, r: int):
     subsets, columns = degree_module_columns(arr, r)
     relmod = degree_module_relations(arr, r)
     rows = module_preimage(columns, relmod)
-    return module_groebner([ExtElement(ring, dict(zip(subsets, vec))) for vec in rows])
+    return module_groebner([
+        ExtElement(ring, {subsets[i]: p for i, p in row.items()})
+        for row in rows])
 
 
 def _u_multiples(gens, m: int, r: int):
@@ -973,27 +975,7 @@ def _evaluation_rank(forms, d: int, npoints: int, rng) -> int:
             level = [(i, v * w[i] % _P)
                      for lo, v in level for i in range(lo, len(w))]
         rows.append([v for _, v in level])
-    return _rank_mod_p(rows)
-
-
-def _rank_mod_p(rows) -> int:
-    """Rank over F_P of equal-length rows of ints in [0, _P).
-
-    Each row is reduced by the pivot rows kept so far, in order; each kept
-    row is zero in the pivot columns of the ones before it, so one pass
-    clears them all.
-    """
-    pivots = []
-    for row in rows:
-        for col, prow in pivots:
-            f = row[col]
-            if f:
-                row = [(a - f * b) % _P for a, b in zip(row, prow)]
-        col = next((j for j, a in enumerate(row) if a), None)
-        if col is not None:
-            inv = pow(row[col], -1, _P)
-            pivots.append((col, [a * inv % _P for a in row]))
-    return len(pivots)
+    return linalg.rank(PrimeField(_P), rows)
 
 
 def _rank_images(arr: Arrangement, super: bool, deg: int):

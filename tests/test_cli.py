@@ -234,11 +234,13 @@ GRASSMANN_IGNORED = ("theorem1", "minimal", "stratification", "lemma7",
     ({"n": True}, ["circuits"], "True"),
     ({"field": {"type": "prime", "p": 2.0}}, ["circuits"], "2.0"),
     ({}, ["charts", "--flat", "1", "--invert", "3"], "index 3"),
+    ({"field": {"type": "prime", "p": 2**89 - 1}}, ["circuits"],
+     "too large"),
 ] + [({}, ["verify", "--check", check, "--grassmann", "1"], "grassmann")
      for check in GRASSMANN_IGNORED],
     ids=["one-fifth-over-F5", "one-over-zero-over-Q", "flat-0", "flat-9",
          "invert-9", "grassmann-negative", "n-float", "n-boolean", "p-float",
-         "invert-outside-flat"]
+         "invert-outside-flat", "p-beyond-the-primality-bound"]
     + [f"grassmann-{check}" for check in GRASSMANN_IGNORED])
 def test_malformed_input_exit_code(tmp_path, capsys, changes, argv, message):
     """Malformed input exits 2 with a message, never a traceback and never
@@ -431,6 +433,46 @@ def test_corpus_files_are_the_json_dumps_text(tmp_path, capsys):
         text = path.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2,
                                   sort_keys=True) + "\n"
+
+
+def test_corpus_out_reports_the_files_it_wrote(tmp_path, capsys):
+    """`--out` counts the files as it writes them and reports the count
+    through `emit`: one text line, or one JSON object."""
+    args = ("corpus", "--p", "2", "--max-n", "2", "--max-m", "3")
+    text_dir, json_dir = tmp_path / "text", tmp_path / "json"
+    code, out, _ = run_cli(capsys, *args, "--out", str(text_dir))
+    assert code == 0
+    count = len(list(text_dir.iterdir()))
+    assert count and out == f"wrote {count} spec files to {text_dir}\n"
+    code, out, _ = run_cli(capsys, "--format", "json", *args,
+                           "--out", str(json_dir))
+    assert code == 0
+    assert json.loads(out) == {"out": str(json_dir), "written": count}
+    assert len(list(json_dir.iterdir())) == count
+
+
+def test_corpus_listing_writes_each_name_before_the_next_is_built(
+        capsys, monkeypatch):
+    """The finite-field listing takes the enumeration lazily: its first
+    name is out before the second instance is made."""
+    import recplane.corpus as corpus
+
+    enumerate_arrangements = corpus.enumerate_arrangements
+    written_before_second = []
+
+    def watched(*args):
+        instances = enumerate_arrangements(*args)
+        yield next(instances)
+        written_before_second.append(capsys.readouterr().out)
+        yield from instances
+
+    monkeypatch.setattr(corpus, "enumerate_arrangements", watched)
+    code, out, _ = run_cli(capsys, "corpus", "--p", "2", "--max-n", "2",
+                           "--max-m", "2")
+    assert code == 0
+    first = written_before_second[0]
+    assert first.count("\n") == 1 and first.startswith("p2_n1_m1_")
+    assert out and first not in out
 
 
 # -- one parser per process -------------------------------------------------------

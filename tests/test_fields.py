@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from recplane.fields import (
     FieldError,
     PrimeField,
     RationalField,
+    _is_prime,
     field_from_json,
     field_to_json,
 )
@@ -28,6 +30,37 @@ def test_prime_field_rejects_composites():
         PrimeField(6)
     with pytest.raises(FieldError):
         PrimeField(1)
+
+
+def _is_prime_by_trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
+def test_primality_agrees_with_trial_division():
+    assert all(_is_prime(p) == _is_prime_by_trial_division(p)
+               for p in range(20_000))
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,  # to the bases 2 ... 23
+    318665857834031151167461,  # to the bases 2 ... 37
+])
+def test_strong_pseudoprimes_are_rejected(n):
+    assert not _is_prime(n)
+    with pytest.raises(FieldError):
+        PrimeField(n)
+
+
+def test_large_primes_build_at_once_and_beyond_the_bound_are_refused():
+    start = time.perf_counter()
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert PrimeField(10**14 + 31).p == 10**14 + 31
+    assert time.perf_counter() - start < 0.1
+    # 2^89 - 1 is prime, but the test is not exact there
+    for p in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(FieldError, match="too large"):
+            PrimeField(p)
 
 
 def test_rational_field_reduced_fractions():
@@ -77,7 +110,9 @@ def test_bitmask_rank_matches_generic(rows):
             == linalg.rank(PrimeField(2), rows))
 
 
-RANK_FIELDS = (PrimeField(2), PrimeField(5), RationalField())
+# 2^61 - 1 is the field of hilbert's evaluation lower bound
+RANK_FIELDS = (PrimeField(2), PrimeField(5), PrimeField(2**61 - 1),
+               RationalField())
 
 
 @st.composite
@@ -180,9 +215,11 @@ def test_forward_elimination_rank_matches_rref(matrix):
 @settings(max_examples=150, deadline=None)
 @given(matrices(), st.data())
 def test_echelon_rows_and_row_space_membership(matrix, data):
-    """`echelon` gives one row per unit of rank, with ascending pivots; a
-    vector is in the row space exactly when it adds no rank.  Rows added one
-    at a time by `extend_echelon` span the same space."""
+    """`echelon` gives one row per unit of rank, each 1 at its pivot column,
+    0 left of it and at every earlier pivot's column, and cut after its last
+    nonzero entry; a vector is in the row space exactly when it adds no
+    rank.  Rows added one at a time by `extend_echelon` span the same
+    space."""
     field, rows = matrix
     pivots = linalg.echelon(field, rows)
     assert len(pivots) == linalg.rank(field, rows)
@@ -191,10 +228,10 @@ def test_echelon_rows_and_row_space_membership(matrix, data):
     assert added == [
         linalg.rank(field, rows[:k + 1]) > linalg.rank(field, rows[:k])
         for k in range(len(rows))]
-    cols = [c for c, _, _ in pivots]
-    assert cols == sorted(set(cols))
-    for c, inv, row in pivots:
-        assert field.mul(inv, row[c]) == field.one
+    for k, (c, row) in enumerate(pivots):
+        assert row[c] == field.one and row[-1]
+        assert not any(row[:c])
+        assert not any(row[e] for e, _ in pivots[:k] if e < len(row))
     if not rows:
         return
     ncols = len(rows[0])

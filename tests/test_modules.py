@@ -364,8 +364,7 @@ def test_preimage_identity_full_target():
     full = [vec(r, (1,), "1"), vec(r, (2,), "1")]
     rows = module_preimage(cols, full)
     basis = module_groebner(
-        [ExtElement(r, {(i,): p for i, p in zip((1, 2), row) if not p.is_zero()})
-         for row in rows]
+        [ExtElement(r, {(i + 1,): p for i, p in row.items()}) for row in rows]
     )
     for i in (1, 2):
         assert module_normal_form(vec(r, (i,), "1"), basis).is_zero()
@@ -398,7 +397,7 @@ def test_preimage_image_matches_intersection(col_data, amb_data):
     if all(c.is_zero() for c in columns):
         return
     rows = module_preimage(columns, ambient)
-    images = [combine(columns, dict(enumerate(row))) for row in rows]
+    images = [combine(columns, row) for row in rows]
     images = [v for v in images if not v.is_zero()]
     inter = module_intersect(columns, ambient)
     g_images = module_groebner(images)
@@ -414,7 +413,7 @@ def test_koszul_syzygy():
     cols = [vec(r, (), "t1"), vec(r, (), "t2")]
     rows = module_preimage(cols, [])
     assert len(rows) == 1
-    f, g = rows[0]
+    f, g = rows[0][0], rows[0][1]
     # (t2, -t1) up to sign
     assert f * r.parse("t1") + g * r.parse("t2") == r.zero()
     assert {str(f.monic()), str(g.monic())} == {"t2", "t1"}

@@ -166,7 +166,8 @@ def test_kernel_K_beyond_the_rank_matches_the_preimage(four_cycle, triangle_q,
             subsets, columns = degree_module_columns(arr, r)
             rows = module_preimage(columns, degree_module_relations(arr, r))
             preimage = module_groebner(
-                [ExtElement(ring, dict(zip(subsets, vec))) for vec in rows])
+                [ExtElement(ring, {subsets[i]: p for i, p in row.items()})
+                 for row in rows])
             assert kernel_K_degree(arr, r) == preimage
 
 
