@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 
-from . import linalg
 from .arrangement import Arrangement
 from .fields import PrimeField, RationalField
 
@@ -29,11 +28,11 @@ def enumerate_arrangements(p: int, max_n: int, max_m: int):
             for combo in itertools.combinations_with_replacement(
                 range(len(forms)), m
             ):
-                rows = [list(forms[k]) for k in combo]
-                if linalg.rank(field, rows) != n:
+                arr = Arrangement(field, n, [forms[k] for k in combo])
+                if arr.rank != n:
                     continue
                 name = f"p{p}_n{n}_m{m}_" + "-".join(str(k) for k in combo)
-                yield name, Arrangement(field, n, rows)
+                yield name, arr
 
 
 def random_rational_arrangements(count: int, seed: int,

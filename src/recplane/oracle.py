@@ -38,8 +38,12 @@ the odd ring, takes the exact rank of the images (`_rank_dimension`).
 
 The substitutions of one call group (one degree of the `hilbert` rank step,
 or one `verify_charts` call) share the forms, the dx expansions of the dz
-wedges and the products of form powers built so far.  That state lives
-only as long as the call; it is not kept in the instance context, to bound
+wedges and the products of form powers built so far.  Each substitution
+puts its terms over its own denominator, one power per form it needs, so
+a chart generator's products hold only the forms its terms mention; the
+rank step gives every form of every image one shared power instead, so
+that the images are vectors in one column space.  That state lives only
+as long as the call; it is not kept in the instance context, to bound
 peak memory.
 """
 
@@ -148,19 +152,23 @@ def z_polynomials(arr: Arrangement):
 
 @dataclass(frozen=True)
 class LocalizedOmega:
-    """numerator / (z_1 ... z_m)^den_exp inside F[x] tensor Lambda[dx].
+    """numerator / (z_1^den[0] ... z_m^den[m-1]) inside F[x] tensor Lambda[dx].
 
+    `den` holds one exponent per form: 0 for a form on the flat of a
+    chart, which is not inverted, and for a form that no term needs,
+    unless the caller sets a floor for every off-flat form (`_substitute`).
     Zero testing is full expansion of the numerator; nothing is factored.
     """
 
     numerator: ExtElement
-    den_exp: int
+    den: tuple
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
     def __str__(self):
-        return f"({self.numerator}) / (z1..zm)^{self.den_exp}"
+        factors = "*".join(f"z{k}^{e}" for k, e in enumerate(self.den, 1) if e)
+        return f"({self.numerator}) / ({factors or 1})"
 
 
 def wedge_expand(field, rows, labels):
@@ -263,39 +271,51 @@ def _substitute(shared: _SharedSubstitution, flat, ring: PolyRing,
     Off the flat t_i -> 1/z_i(x) and u_i -> dz_i(x)/z_i(x); on it
     z_j -> z_j(x) and dz_j -> dz_j(x).  `terms` yields the (exterior
     index tuple, monomial, coefficient) of each term over `ring`, whose
-    variables are t_i off the flat and z_j on it.  Every term is put over
-    the common denominator, a power of the product of the off-flat forms,
-    with exponent at least `min_den`.
+    variables are t_i off the flat and z_j on it.
+
+    Each off-flat form z_k gets its own exponent N_k: the largest power of
+    z_k any term needs (its t_k exponent, plus one for u_k), and at least
+    `min_den`.  A term needing z_k^e_k is multiplied by the product of the
+    z_k^(N_k - e_k), so a form no term needs stays out of every product.
+    Over one shared exponent N = max N_k the numerator would only gain the
+    nonzero factor prod z_k^(N - N_k), and F[x] (x) Lambda[dx] is free
+    over the domain F[x], so `is_zero` answers the same.
     """
-    field = shared.arr.field
     m = shared.arr.m
     off = [(i - 1, ring.shift_of(f"t{i}"))
            for i in range(1, m + 1) if i not in flat]
     on = [(j - 1, ring.shift_of(f"z{j}")) for j in sorted(flat)]
     pieces = []
-    n_common = min_den
+    top = [min_den] * len(off)
     for s, mono, c in terms:
         need = [((mono >> sh) & MAX_EXPONENT) + (k + 1 in s)
                 for k, sh in off]
-        if need:
-            n_common = max(n_common, max(need))
+        top = list(map(max, top, need))
         pieces.append((s, c, need, mono))
     out: dict = {}
     for s, c, need, mono in pieces:
         vec = [0] * m
-        for (k, _), e in zip(off, need):
-            vec[k] = n_common - e
+        for (k, _), e, n in zip(off, need, top):
+            vec[k] = n - e
         for k, sh in on:
             vec[k] = (mono >> sh) & MAX_EXPONENT
         prod = shared.product(tuple(vec), shared.unkept)
         for subset, coeff in shared.expansion(s).items():
-            out.setdefault(subset, []).append((field.mul(c, coeff), prod))
+            out.setdefault(subset, []).append((c * coeff, prod))
+    field = shared.arr.field
     numerator = {s: _combination(field, terms) for s, terms in out.items()}
-    return LocalizedOmega(ExtElement(shared.target, numerator, DX), n_common)
+    den = [0] * m
+    for (k, _), n in zip(off, top):
+        den[k] = n
+    return LocalizedOmega(ExtElement(shared.target, numerator, DX), tuple(den))
 
 
 def _combination(field, terms) -> Polynomial:
-    """The sum of c * p over the (c, p) pairs of `terms`, built in place."""
+    """The sum of c * p over the (c, p) pairs of `terms`.
+
+    Over F_p a c may be any int of its residue class: the products are
+    summed as ints and reduced once per monomial.
+    """
     c, p = terms[0]
     if len(terms) == 1:
         return p.scale(c)
@@ -304,16 +324,12 @@ def _combination(field, terms) -> Polynomial:
         for _, p in terms[1:]:
             keys.symmetric_difference_update(p._d)
         return Polynomial(p.ring, dict.fromkeys(keys, 1))
-    zero = field.zero
     acc: dict = {}
+    get = acc.get
     for c, p in terms:
         for mono, x in p._d.items():
-            got = field.add(acc.get(mono, zero), field.mul(c, x))
-            if got == zero:
-                del acc[mono]
-            else:
-                acc[mono] = got
-    return Polynomial(p.ring, acc)
+            acc[mono] = get(mono, 0) + c * x
+    return p.ring.poly(acc)
 
 
 def _poly_terms(f: Polynomial):
@@ -984,7 +1000,8 @@ def _rank_images(arr: Arrangement, super: bool, deg: int):
     ring = t_ring(arr)
     labels = list(_exterior_labels(arr, super, deg))
     # t_i^a u_B with i in B needs z_i^(a+1): the largest exponent any image
-    # of this degree needs, so every image is built over it at once
+    # of this degree needs, given to every form of every image, so the
+    # images share one denominator and their numerators one column space
     den = max(((deg - r) // 2 + (r > 0) for r, _ in labels), default=0)
     shared = _SharedSubstitution(arr, unkept=2)
     for r, B in labels:

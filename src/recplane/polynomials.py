@@ -115,9 +115,16 @@ class PolyRing:
         return Polynomial(self, {self.mono(exps): coeff})
 
     def poly(self, d: dict) -> "Polynomial":
-        """Wrap {mono: coeff}; zero coefficients are dropped."""
-        zero = self.field.zero
-        return Polynomial(self, {m: c for m, c in d.items() if c != zero})
+        """Wrap {mono: coeff}; zero coefficients are dropped.
+
+        Over F_p a coeff may be any int of its residue class, such as a sum
+        of products left unreduced: it is reduced `% p` here, once per
+        monomial.  The dict is not kept."""
+        p = self.field.char
+        if p:
+            return Polynomial(self, {m: r for m, c in d.items()
+                                     if (r := c % p)})
+        return Polynomial(self, {m: c for m, c in d.items() if c})
 
     def mono(self, exps: dict) -> int:
         """The monomial with exponents {name: exponent}."""
@@ -332,18 +339,15 @@ class Polynomial:
                 acc ^= {ma + mb for mb in b}
             _check_guard(self.ring.guard, acc)
             return Polynomial(self.ring, dict.fromkeys(acc, 1))
-        acc = {}
-        zero = field.zero
+        acc: dict = {}
+        get = acc.get
         for ma, ca in a.items():
             for mb, cb in b.items():
                 m = ma + mb
-                s = field.add(acc.get(m, zero), field.mul(ca, cb))
-                if s == zero:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
-        _check_guard(self.ring.guard, acc)
-        return Polynomial(self.ring, acc)
+                acc[m] = get(m, 0) + ca * cb
+        product = self.ring.poly(acc)
+        _check_guard(self.ring.guard, product._d)
+        return product
 
     def scale(self, c) -> "Polynomial":
         field = self.ring.field
@@ -351,7 +355,7 @@ class Polynomial:
             return Polynomial(self.ring, {})
         if c == field.one:
             return self
-        return Polynomial(self.ring, {m: field.mul(c, x) for m, x in self._d.items()})
+        return self.ring.poly({m: c * x for m, x in self._d.items()})
 
     def mul_term(self, c, mono) -> "Polynomial":
         """self * c * x^mono."""

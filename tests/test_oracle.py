@@ -45,18 +45,15 @@ Q = RationalField()
 
 
 def test_eval_h_single_variable(four_cycle):
+    # t1 -> 1/z1: only z1 is inverted
     img = eval_h(four_cycle, t_ring(four_cycle).variable("t1"))
-    assert img.den_exp == 1
-    from recplane.oracle import z_polynomials
-
-    zs = z_polynomials(four_cycle)
-    expected = zs[1] * zs[2] * zs[3]
-    assert img.numerator.entry(()) == expected
+    assert img.den == (1, 0, 0, 0)
+    assert img.numerator.entry(()) == img.numerator.ring.one()
 
 
 def test_eval_h_constant_one(four_cycle):
     img = eval_h(four_cycle, t_ring(four_cycle).one())
-    assert img.den_exp == 0
+    assert img.den == (0, 0, 0, 0)
     assert img.numerator.entry(()) == img.numerator.ring.one()
 
 
@@ -67,13 +64,11 @@ def test_eval_h_kills_relation_polynomials(four_cycle, triangle_q, triangle_f2):
 
 
 def test_eval_psi_on_u_generator(triangle_f2):
-    # z1 = x1: psi(u1) has numerator z2*z3*dx1 over (z1 z2 z3)
+    # z1 = x1: psi(u1) = dx1 / z1
     img = eval_psi(triangle_f2, ExtElement.generator(t_ring(triangle_f2), 1))
-    assert img.den_exp == 1
-    from recplane.oracle import z_polynomials
-
-    zs = z_polynomials(triangle_f2)
-    assert img.numerator.entry((1,)) == zs[1] * zs[2]
+    assert img.den == (1, 0, 0)
+    assert img.numerator.entry((1,)) == img.numerator.ring.one()
+    assert img.numerator.labels() == [(1,)]
 
 
 def test_eval_psi_exterior_square(triangle_f2):
@@ -111,6 +106,160 @@ def test_evaluation_maps_agree_on_the_empty_flat(four_cycle, triangle_q):
         for g, c in pairs:
             assert eval_chart(arr, empty, c.element) == eval_psi(arr, g.element)
         assert not eval_psi(arr, ExtElement.generator(ring, 1)).is_zero()
+
+
+def _reference_mul(field, a, b):
+    """{mono: coeff} product of two {mono: coeff} dicts, one field call per
+    scalar operation."""
+    acc = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            got = field.add(acc.get(ma + mb, field.zero), field.mul(ca, cb))
+            if got == field.zero:
+                acc.pop(ma + mb, None)
+            else:
+                acc[ma + mb] = got
+    return acc
+
+
+def _reference_power_product(arr, exps):
+    """z_1^exps[0] * ... * z_m^exps[m-1] as a {mono: coeff} dict."""
+    from recplane.oracle import z_polynomials
+
+    out = {0: arr.field.one}
+    for z, e in zip(z_polynomials(arr), exps):
+        for _ in range(e):
+            out = _reference_mul(arr.field, out, z._d)
+    return out
+
+
+def _reference_substitute(arr, flat, ring, terms, min_den=0):
+    """The substitution over one uniform denominator that the per-form
+    exponents replaced, kept as a reference: every term is put over the
+    power N of the product of all off-flat forms, N the largest exponent
+    any term needs of any form and at least `min_den`.  Returns
+    ({dx label: {mono: coeff}}, N), every sum built by field calls."""
+    from recplane.oracle import wedge_expand
+    from recplane.polynomials import MAX_EXPONENT
+
+    field = arr.field
+    off = [(i - 1, ring.shift_of(f"t{i}"))
+           for i in range(1, arr.m + 1) if i not in flat]
+    on = [(j - 1, ring.shift_of(f"z{j}")) for j in sorted(flat)]
+    pieces = []
+    n_common = min_den
+    for s, mono, c in terms:
+        need = [((mono >> sh) & MAX_EXPONENT) + (k + 1 in s)
+                for k, sh in off]
+        if need:
+            n_common = max(n_common, max(need))
+        pieces.append((s, c, need, mono))
+    out = {}
+    for s, c, need, mono in pieces:
+        vec = [0] * arr.m
+        for (k, _), e in zip(off, need):
+            vec[k] = n_common - e
+        for k, sh in on:
+            vec[k] = (mono >> sh) & MAX_EXPONENT
+        prod = _reference_power_product(arr, vec)
+        expansion = wedge_expand(field, [arr.form(i) for i in s],
+                                 tuple(range(1, arr.n + 1)))
+        for subset, coeff in expansion.items():
+            acc = out.setdefault(subset, {})
+            scale = field.mul(c, coeff)
+            for m, x in prod.items():
+                got = field.add(acc.get(m, field.zero), field.mul(scale, x))
+                if got == field.zero:
+                    acc.pop(m, None)
+                else:
+                    acc[m] = got
+    return {s: acc for s, acc in out.items() if acc}, n_common
+
+
+def _four_cycle_f2():
+    return Arrangement(F2, 4, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1],
+                               [1, 0, 0, 1]])
+
+
+@st.composite
+def substitution_cases(draw):
+    """(arrangement, map, flat, element, min_den): a random element of 1-3
+    labels for eval_h, eval_psi or eval_chart on a random flat."""
+    from recplane.relations import _chart_poly_ring
+
+    arr = draw(st.sampled_from((
+        _four_cycle_f2(), Arrangement(Q, 2, [[1, 0], [0, 1], [-1, -1]]),
+        _braid_a3(F2), _braid_a3(F5), _braid_a3(Q))))
+    field = arr.field
+    kind = draw(st.sampled_from(("h", "psi", "chart")))
+    flat = (draw(st.sampled_from(flats(arr))).indices if kind == "chart"
+            else ())
+    if kind == "chart":
+        ring = _chart_poly_ring(field, tuple(i for i in range(1, arr.m + 1)
+                                             if i not in flat), flat)
+    else:
+        ring = t_ring(arr)
+    coeff = st.integers(-3, 3).map(field.from_int).filter(
+        lambda c: c != field.zero)
+    mono = st.dictionaries(st.sampled_from(ring.variables), st.integers(0, 2),
+                           max_size=2).map(ring.mono)
+
+    def polynomial():
+        return ring.poly(draw(st.dictionaries(mono, coeff, min_size=1,
+                                              max_size=3)))
+
+    if kind == "h":
+        element = polynomial()
+    else:
+        label = st.lists(st.integers(1, arr.m), max_size=3, unique=True).map(
+            lambda xs: tuple(sorted(xs)))
+        labels = draw(st.lists(label, min_size=1, max_size=3, unique=True))
+        element = ExtElement(ring, {lab: polynomial() for lab in labels},
+                             frozenset(flat) if kind == "chart" else "u")
+    return arr, kind, flat, element, draw(st.integers(0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(substitution_cases())
+def test_per_form_denominators_match_the_uniform_reference(case):
+    """Each off-flat form's exponent N_k is the most any term needs of it,
+    and at least min_den; times prod z_k^(N - N_k), N = max N_k, the
+    numerator is the one over the uniform denominator z^N."""
+    from recplane.oracle import _SharedSubstitution, _poly_terms, _substitute
+    from recplane.polynomials import MAX_EXPONENT
+
+    arr, kind, flat, element, min_den = case
+    if kind == "h":
+        public = eval_h(arr, element)
+        terms = list(_poly_terms(element))
+    else:
+        public = (eval_psi(arr, element) if kind == "psi"
+                  else eval_chart(arr, closure(arr, flat), element))
+        terms = list(element.label_terms())
+    direct = _substitute(_SharedSubstitution(arr), flat, element.ring, terms,
+                         min_den)
+    for got, floor in ((public, 0), (direct, min_den)):
+        ref, n_ref = _reference_substitute(arr, flat, element.ring, terms,
+                                           floor)
+        off = [k for k in range(1, arr.m + 1) if k not in flat]
+        assert len(got.den) == arr.m
+        assert all(got.den[j - 1] == 0 for j in flat)
+        for k in off:
+            shift = element.ring.shift_of(f"t{k}")
+            needs = [((mono >> shift) & MAX_EXPONENT) + (k in s)
+                     for s, mono, _ in terms]
+            assert got.den[k - 1] == max([floor] + needs)
+        if off:
+            assert max(got.den) == n_ref
+        missing = _reference_power_product(
+            arr, [n_ref - got.den[k - 1] if k in off else 0
+                  for k in range(1, arr.m + 1)])
+        lifted = {s: _reference_mul(arr.field, poly._d, missing)
+                  for s, poly in got.numerator.entries.items()}
+        assert lifted == ref
+        # every coefficient is reduced: from_int leaves a residue unchanged
+        assert all(arr.field.from_int(c) == c
+                   for c in got.numerator._t.values())
 
 
 # -- kernels -------------------------------------------------------------------
@@ -808,8 +957,8 @@ def _braid_a3(field):
 ])
 def test_rank_images_match_eval_over_the_largest_denominator(field, deg, super):
     """Each image built at the shared exponent equals the eval_h / eval_psi
-    image with its numerator multiplied by the missing z_i powers, and the
-    shared exponent is the largest one those images need."""
+    image with its numerator multiplied by the missing z_k powers, and the
+    shared exponent is the largest one those images need of any form."""
     from recplane.oracle import _exterior_labels, _t_monomials_of_degree
     from recplane.oracle import z_polynomials
 
@@ -824,12 +973,12 @@ def test_rank_images_match_eval_over_the_largest_denominator(field, deg, super):
                        else eval_h(arr, poly))
     new = list(_rank_images(arr, super, deg))
     assert len(new) == len(old) > 0
-    den = max(img.den_exp for img in old)
+    den = max(max(img.den) for img in old)
     for got, want in zip(new, old):
-        assert got.den_exp == den
+        assert got.den == (den,) * arr.m
         numerator = want.numerator
-        for z in zs:
-            for _ in range(den - want.den_exp):
+        for z, e in zip(zs, want.den):
+            for _ in range(den - e):
                 numerator = numerator.poly_mul(z)
         assert got.numerator == numerator
 
