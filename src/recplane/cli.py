@@ -299,6 +299,9 @@ def run(argv=None) -> int:
                 raise SpecError("--grassmann must be nonnegative")
             if args.check not in ("theorem2", "groebner-lemma"):
                 raise SpecError(f"--check {args.check} has no --grassmann")
+            if args.grassmann > arr.m:
+                raise SpecError(f"--grassmann {args.grassmann} is above the "
+                                f"number of forms, {arr.m}")
         rep = _run_check(arr, args, caps)
         emit(args, rep.to_json, lambda: _report_lines(rep))
         return EXIT_PASS if rep.ok else EXIT_FAIL

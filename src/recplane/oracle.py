@@ -175,28 +175,24 @@ def wedge_expand(field, rows, labels):
     """Expansion of a wedge of covectors in the coordinate exterior basis.
 
     `rows` are coefficient vectors over `labels`; the result maps ascending
-    label subsets to the minor-determinant coefficients.
+    label subsets to the minor-determinant coefficients.  Each row's sums
+    are made canonical by the ring of scalars, the x-ring with no variables.
     """
+    scalars = _x_ring(field, 0)
     acc = {(): field.one}
     for row in rows:
         nxt: dict = {}
+        get = nxt.get
         for subset, c in acc.items():
             for pos, x in enumerate(row):
                 if x == field.zero:
                     continue
-                lab = labels[pos]
-                sign, merged = merge_subsets(subset, (lab,))
-                if sign == 0:
-                    continue
-                val = field.mul(c, x)
-                if sign < 0:
-                    val = field.neg(val)
-                got = field.add(nxt.get(merged, field.zero), val)
-                if got == field.zero:
-                    nxt.pop(merged, None)
-                else:
-                    nxt[merged] = got
-        acc = nxt
+                sign, merged = merge_subsets(subset, (labels[pos],))
+                if sign > 0:
+                    nxt[merged] = get(merged, 0) + c * x
+                elif sign:
+                    nxt[merged] = get(merged, 0) - c * x
+        acc = scalars.canonical(nxt)
         if not acc:
             break
     return acc
@@ -302,15 +298,14 @@ def _substitute(shared: _SharedSubstitution, flat, ring: PolyRing,
         prod = shared.product(tuple(vec), shared.unkept)
         for subset, coeff in shared.expansion(s).items():
             out.setdefault(subset, []).append((c * coeff, prod))
-    field = shared.arr.field
-    numerator = {s: _combination(field, terms) for s, terms in out.items()}
+    numerator = {s: _combination(terms) for s, terms in out.items()}
     den = [0] * m
     for (k, _), n in zip(off, top):
         den[k] = n
     return LocalizedOmega(ExtElement(shared.target, numerator, DX), tuple(den))
 
 
-def _combination(field, terms) -> Polynomial:
+def _combination(terms) -> Polynomial:
     """The sum of c * p over the (c, p) pairs of `terms`.
 
     Over F_p a c may be any int of its residue class: the products are
@@ -319,11 +314,6 @@ def _combination(field, terms) -> Polynomial:
     c, p = terms[0]
     if len(terms) == 1:
         return p.scale(c)
-    if field.char == 2:
-        keys = set(p._d)
-        for _, p in terms[1:]:
-            keys.symmetric_difference_update(p._d)
-        return Polynomial(p.ring, dict.fromkeys(keys, 1))
     acc: dict = {}
     get = acc.get
     for c, p in terms:
@@ -681,7 +671,7 @@ def verify_groebner_lemma(arr: Arrangement, r: int,
     s_poly = ring.variable("s")
     one_minus_s = ring.one() - s_poly
 
-    subsets = list(itertools.combinations(range(1, arr.m + 1), r))
+    subsets, columns = degree_module_columns(arr, r)
     expansions = {I: _dz_expansion(arr, I) for I in subsets}
     rels = distinct_relations(arr, caps)
     p_polys = [tr.lift(p_of_L(tr, rel), ring) for rel in rels]
@@ -689,19 +679,14 @@ def verify_groebner_lemma(arr: Arrangement, r: int,
 
     def combined(vec):
         entries: dict = {}
+        get = entries.get
         union = set()
         for c, I in zip(vec, subsets):
-            if not c:
-                continue
-            union.update(I)
-            for sub, x in expansions[I].items():
-                val = field.mul(field.from_int(c), x)
-                got = field.add(entries.get(sub, field.zero), val)
-                if got == field.zero:
-                    entries.pop(sub, None)
-                else:
-                    entries[sub] = got
-        return union, entries
+            if c:
+                union.update(I)
+                for sub, x in expansions[I].items():
+                    entries[sub] = get(sub, 0) + c * x
+        return union, ring.canonical(entries)
 
     def dedupe(elems):
         out = []
@@ -751,15 +736,8 @@ def verify_groebner_lemma(arr: Arrangement, r: int,
                 break
 
     # The family and the straight generators span the same submodule.
-    plain = []
-    for I in subsets:
-        entries = {
-            sub: ring.term(1, {f"t{i}": 1 for i in I}).scale(c)
-            for sub, c in expansions[I].items()
-        }
-        if entries:
-            plain.append(ExtElement(ring, entries, DZ).poly_mul(s_poly))
-    plain += s2
+    plain = [c.lift(ring).poly_mul(s_poly)
+             for c in columns if not c.is_zero()] + s2
     span_ok = True
     plain_gb = module_groebner(plain)
     for e in family:

@@ -17,6 +17,16 @@ mask of their ring, which covers every variable, and a set guard bit raises
 ExponentOverflow (a RingError); `PolyRing.mono` refuses an exponent above
 MAX_EXPONENT.
 
+One coefficient rule holds wherever a new element is summed: polynomials
+here and exterior elements in `superalg`.  The constructor sums its
+coefficients unreduced, as plain ints of any residue class over F_p and as
+Fractions over Q, and hands the dict once to `PolyRing.canonical`, which
+reduces each sum `% p` and drops the zeros.  No such constructor calls the
+field per term, and F_2 takes the same path as every other prime.  The
+division loops of `groebner` and `modules` are the exception: each step
+reads a canonical leading coefficient of what it has reduced so far, so
+they keep their per-term field calls.
+
 The layout stays in this module.  Elsewhere a monomial is read with
 `mono_pairs`, or, in hot loops, as `(m >> ring.shift_of(name)) &
 MAX_EXPONENT`.  Printing (`format_terms`) walks the ring's display order,
@@ -114,17 +124,21 @@ class PolyRing:
             return self.zero()
         return Polynomial(self, {self.mono(exps): coeff})
 
-    def poly(self, d: dict) -> "Polynomial":
-        """Wrap {mono: coeff}; zero coefficients are dropped.
+    def canonical(self, d: dict) -> dict:
+        """{key: coeff} with every coefficient canonical and none zero.
 
+        A key is a monomial or a packed module term; it is kept as it is.
         Over F_p a coeff may be any int of its residue class, such as a sum
-        of products left unreduced: it is reduced `% p` here, once per
-        monomial.  The dict is not kept."""
+        of products left unreduced: it is reduced `% p` here, once per key.
+        The dict is not kept."""
         p = self.field.char
         if p:
-            return Polynomial(self, {m: r for m, c in d.items()
-                                     if (r := c % p)})
-        return Polynomial(self, {m: c for m, c in d.items() if c})
+            return {k: r for k, c in d.items() if (r := c % p)}
+        return {k: c for k, c in d.items() if c}
+
+    def poly(self, d: dict) -> "Polynomial":
+        """The polynomial of {mono: coeff}, canonicalised (`canonical`)."""
+        return Polynomial(self, self.canonical(d))
 
     def mono(self, exps: dict) -> int:
         """The monomial with exponents {name: exponent}."""
@@ -223,17 +237,11 @@ class PolyRing:
         return Polynomial(sub, dict(poly._d))
 
     def parse(self, text: str) -> "Polynomial":
-        d = {}
-        zero = self.field.zero
+        d: dict = {}
         for coeff_text, exps in parse_terms(text):
-            c = self.field.parse(coeff_text)
             m = self.mono(exps)
-            c = self.field.add(d.get(m, zero), c)
-            if c == zero:
-                d.pop(m, None)
-            else:
-                d[m] = c
-        return Polynomial(self, d)
+            d[m] = d.get(m, 0) + self.field.parse(coeff_text)
+        return self.poly(d)
 
     def __eq__(self, other):
         return (
@@ -287,58 +295,28 @@ class Polynomial:
     # ---- arithmetic ----
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        field = self.ring.field
-        if field.char == 2:
-            return Polynomial(
-                self.ring, dict.fromkeys(self._d.keys() ^ other._d.keys(), 1)
-            )
         d = dict(self._d)
-        zero = field.zero
+        get = d.get
         for m, c in other._d.items():
-            s = field.add(d.get(m, zero), c)
-            if s == zero:
-                d.pop(m, None)
-            else:
-                d[m] = s
-        return Polynomial(self.ring, d)
+            d[m] = get(m, 0) + c
+        return self.ring.poly(d)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        field = self.ring.field
-        if field.char == 2:
-            return Polynomial(
-                self.ring, dict.fromkeys(self._d.keys() ^ other._d.keys(), 1)
-            )
         d = dict(self._d)
-        zero = field.zero
+        get = d.get
         for m, c in other._d.items():
-            s = field.sub(d.get(m, zero), c)
-            if s == zero:
-                d.pop(m, None)
-            else:
-                d[m] = s
-        return Polynomial(self.ring, d)
+            d[m] = get(m, 0) - c
+        return self.ring.poly(d)
 
     def __neg__(self) -> "Polynomial":
-        field = self.ring.field
-        if field.char == 2:
-            return self
-        return Polynomial(self.ring, {m: field.neg(c) for m, c in self._d.items()})
+        return self.ring.poly({m: -c for m, c in self._d.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        field = self.ring.field
         a, b = self._d, other._d
         if len(a) > len(b):
             a, b = b, a
-        # an overflowed product is still a unique int, so checking the
-        # monomials that survive cancellation is enough
-        if field.char == 2:
-            acc = set()
-            for ma in a:
-                acc ^= {ma + mb for mb in b}
-            _check_guard(self.ring.guard, acc)
-            return Polynomial(self.ring, dict.fromkeys(acc, 1))
         acc: dict = {}
         get = acc.get
         for ma, ca in a.items():
@@ -346,6 +324,8 @@ class Polynomial:
                 m = ma + mb
                 acc[m] = get(m, 0) + ca * cb
         product = self.ring.poly(acc)
+        # an overflowed product is still a unique int, so checking the
+        # monomials that survive cancellation is enough
         _check_guard(self.ring.guard, product._d)
         return product
 
@@ -359,13 +339,11 @@ class Polynomial:
 
     def mul_term(self, c, mono) -> "Polynomial":
         """self * c * x^mono."""
-        field = self.ring.field
-        if c == field.zero:
-            return Polynomial(self.ring, {})
-        if c == field.one:
+        if c == self.ring.field.one:
             d = {m + mono: x for m, x in self._d.items()}
         else:
-            d = {m + mono: field.mul(c, x) for m, x in self._d.items()}
+            d = self.ring.canonical(
+                {m + mono: c * x for m, x in self._d.items()})
         _check_guard(self.ring.guard, d)
         return Polynomial(self.ring, d)
 

@@ -362,16 +362,11 @@ def chart_divide(division: _ChartDivision, rel: Relation, element):
     divisors = sorted(division.s_v & set(rel.support))
     ring = division.ring
     if isinstance(element, Polynomial):
-        field = ring.field
-        d = {}
+        d: dict = {}
         for m, c in element._d.items():
             key = division.monomial(m, divisors, ())
-            got = field.add(d.get(key, field.zero), c)
-            if got == field.zero:
-                d.pop(key, None)
-            else:
-                d[key] = got
-        return Polynomial(ring, d)
+            d[key] = d.get(key, 0) + c
+        return ring.poly(d)
     return element.map_monomials(
         lambda m, subset: division.monomial(m, divisors, subset),
         ring, frozenset(division.s_v))

@@ -29,6 +29,13 @@ monomials of every term, for the chart division.
 Kind takes part in equality and in every operation on two elements.  Signs
 are normalized into the coefficients at construction, so equality is
 structural.  Exterior squares vanish in every characteristic, including 2.
+
+Coefficients follow the rule of `polynomials`: sums, negation, scaling,
+products, `map_monomials` and `parse_ext` add into one packed dict
+unreduced, a sign as a plain minus, and canonicalise it once with
+`PolyRing.canonical`, over F_2 as over every other field.
+`modules` divides with per-term field calls instead, since each of its
+steps reads a canonical leading coefficient.
 """
 
 from __future__ import annotations
@@ -212,18 +219,13 @@ class ExtElement:
     def map_monomials(self, fn, ring: PolyRing, kind):
         """The element of `ring` and `kind` with each term c * x^m * e_S
         made c * x^fn(m, S) * e_S; terms that meet are added."""
-        field = ring.field
-        zero = field.zero
         t: dict = {}
+        get = t.get
         for k, c in self._t.items():
             mask = k & LABEL_MASK
             key = (fn(k >> LABEL_BITS, mask_label(mask)) << LABEL_BITS) | mask
-            got = field.add(t.get(key, zero), c)
-            if got == zero:
-                del t[key]
-            else:
-                t[key] = got
-        return ExtElement._of_packed(ring, t, kind)
+            t[key] = get(key, 0) + c
+        return ExtElement._of_packed(ring, ring.canonical(t), kind)
 
     def entry(self, label) -> Polynomial:
         mask = label_mask(tuple(label))
@@ -255,34 +257,27 @@ class ExtElement:
         k = self.lead_key()
         return k >> LABEL_BITS, self._t[k], mask_label(k & LABEL_MASK)
 
-    def _map(self, fn):
-        return ExtElement._of_packed(
-            self.ring, {k: fn(c) for k, c in self._t.items()}, self.kind)
-
-    def _combine(self, other, op):
-        self._check(other)
-        field = self.ring.field
-        t = dict(self._t)
-        zero = field.zero
-        for k, c in other._t.items():
-            s = op(t.get(k, zero), c)
-            if s == zero:
-                t.pop(k, None)
-            else:
-                t[k] = s
-        return ExtElement._of_packed(self.ring, t, self.kind)
-
     def __add__(self, other):
-        return self._combine(other, self.ring.field.add)
+        self._check(other)
+        t = dict(self._t)
+        get = t.get
+        for k, c in other._t.items():
+            t[k] = get(k, 0) + c
+        return ExtElement._of_packed(self.ring, self.ring.canonical(t),
+                                     self.kind)
 
     def __sub__(self, other):
-        return self._combine(other, self.ring.field.sub)
+        self._check(other)
+        t = dict(self._t)
+        get = t.get
+        for k, c in other._t.items():
+            t[k] = get(k, 0) - c
+        return ExtElement._of_packed(self.ring, self.ring.canonical(t),
+                                     self.kind)
 
     def __neg__(self):
-        field = self.ring.field
-        if field.char == 2:
-            return self
-        return self._map(field.neg)
+        t = self.ring.canonical({k: -c for k, c in self._t.items()})
+        return ExtElement._of_packed(self.ring, t, self.kind)
 
     def scale(self, c):
         field = self.ring.field
@@ -290,24 +285,20 @@ class ExtElement:
             return ExtElement.zero(self.ring, self.kind)
         if c == field.one:
             return self
-        mul = field.mul
-        return self._map(lambda x: mul(c, x))
+        t = self.ring.canonical({k: c * x for k, x in self._t.items()})
+        return ExtElement._of_packed(self.ring, t, self.kind)
 
     def poly_mul(self, poly: Polynomial):
-        field = self.ring.field
-        zero = field.zero
         shifted = [(m << LABEL_BITS, x) for m, x in poly._d.items()]
         acc: dict = {}
+        get = acc.get
         for k, c in self._t.items():
             for s, x in shifted:
                 key = k + s
-                got = field.add(acc.get(key, zero), field.mul(c, x))
-                if got == zero:
-                    del acc[key]
-                else:
-                    acc[key] = got
-        _check_packed_guard(self.ring, acc)
-        return ExtElement._of_packed(self.ring, acc, self.kind)
+                acc[key] = get(key, 0) + c * x
+        t = self.ring.canonical(acc)
+        _check_packed_guard(self.ring, t)
+        return ExtElement._of_packed(self.ring, t, self.kind)
 
     def monic(self):
         if not self._t:
@@ -379,10 +370,9 @@ def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
     Two terms with disjoint labels multiply to the sum of their keys, with
     the shuffle sign of the labels."""
     a._check(b)
-    field = a.ring.field
-    zero = field.zero
     b_by_mask = _terms_by_mask(b)
     acc: dict = {}
+    get = acc.get
     for ma, a_terms in _terms_by_mask(a).items():
         for mb, b_terms in b_by_mask.items():
             if ma & mb:
@@ -390,16 +380,13 @@ def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
             odd = _odd_swaps(ma, mb)
             for ka, ca in a_terms:
                 if odd:
-                    ca = field.neg(ca)
+                    ca = -ca
                 for kb, cb in b_terms:
                     key = ka + kb
-                    got = field.add(acc.get(key, zero), field.mul(ca, cb))
-                    if got == zero:
-                        del acc[key]
-                    else:
-                        acc[key] = got
-    _check_packed_guard(a.ring, acc)
-    return ExtElement._of_packed(a.ring, acc, a.kind)
+                    acc[key] = get(key, 0) + ca * cb
+    t = a.ring.canonical(acc)
+    _check_packed_guard(a.ring, t)
+    return ExtElement._of_packed(a.ring, t, a.kind)
 
 
 def ext_mul_monomial(subset, e: ExtElement) -> ExtElement:
@@ -454,7 +441,7 @@ def parse_ext(ring: PolyRing, text: str, kind=U) -> ExtElement:
 
     A factor is exterior when it is the name `kind` gives its index.
     """
-    entries: dict = {}
+    t: dict = {}
     for coeff_text, exps in parse_terms(text):
         c = ring.field.parse(coeff_text)
         indices = []
@@ -484,10 +471,6 @@ def parse_ext(ring: PolyRing, text: str, kind=U) -> ExtElement:
             ordered.insert(pos, idx)
         if dead:
             continue
-        if sign < 0:
-            c = ring.field.neg(c)
-        s = tuple(ordered)
-        poly = ring.term(c, poly_exps)
-        q = entries.get(s)
-        entries[s] = poly if q is None else q + poly
-    return ExtElement(ring, entries, kind)
+        key = (ring.mono(poly_exps) << LABEL_BITS) | label_mask(ordered)
+        t[key] = t.get(key, 0) + (c if sign > 0 else -c)
+    return ExtElement._of_packed(ring, ring.canonical(t), kind)

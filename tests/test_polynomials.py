@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -173,6 +175,28 @@ def _ref_poly_mul(field, a, b):
     return {m: c for m, c in acc.items() if c != field.zero}
 
 
+def _ref_combine(field, a, b, op):
+    acc = dict(a)
+    for m, c in b.items():
+        acc[m] = op(acc.get(m, field.zero), c)
+    return {m: c for m, c in acc.items() if c != field.zero}
+
+
+def _ref_scale(field, c, a, mono=()):
+    acc = {_ref_mul(m, mono): field.mul(c, x) for m, x in a.items()}
+    return {m: c for m, c in acc.items() if c != field.zero}
+
+
+def assert_canonical(field, coeffs):
+    """Every stored coefficient is canonical: in 1..p-1 over F_p, a nonzero
+    Fraction over Q."""
+    for c in coeffs:
+        if field.char:
+            assert type(c) is int and 0 < c < field.char
+        else:
+            assert type(c) is Fraction and c != 0
+
+
 exponent = st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT))
 
 
@@ -229,21 +253,48 @@ def polynomial_products(draw):
             d[m] = field.add(d.get(m, field.zero), field.from_int(c))
         return {m: c for m, c in d.items() if c != field.zero}
 
-    return ring, poly(), poly()
+    c = field.from_int(draw(st.integers(-4, 4)))
+    return ring, poly(), poly(), c, draw(ref_monomials(n, exps))
+
+
+def _fits(ref):
+    return all(e <= MAX_EXPONENT for m in ref for _, e in m)
 
 
 @settings(max_examples=200, deadline=None)
 @given(polynomial_products())
 def test_polynomial_product_matches_tuple_reference(case):
-    ring, a, b = case
-    pa = ring.poly({_packed(ring, m): c for m, c in a.items()})
-    pb = ring.poly({_packed(ring, m): c for m, c in b.items()})
-    want = _ref_poly_mul(ring.field, a, b)
-    if all(e <= MAX_EXPONENT for m in want for _, e in m):
-        assert pa * pb == ring.poly({_packed(ring, m): c for m, c in want.items()})
+    """Every constructor of a polynomial agrees with per-term field calls
+    and stores canonical coefficients, over F_2, F_5 and Q."""
+    ring, a, b, c, mono = case
+    field = ring.field
+
+    def wrap(ref):
+        return ring.poly({_packed(ring, m): x for m, x in ref.items()})
+
+    pa, pb = wrap(a), wrap(b)
+    want = _ref_poly_mul(field, a, b)
+    if _fits(want):
+        got = pa * pb
+        assert got == wrap(want)
+        assert_canonical(field, got._d.values())
     else:
         with pytest.raises(RingError):
             pa * pb
+    for got, ref in ((pa + pb, _ref_combine(field, a, b, field.add)),
+                     (pa - pb, _ref_combine(field, a, b, field.sub)),
+                     (-pa, {m: field.neg(x) for m, x in a.items()}),
+                     (pa.scale(c), _ref_scale(field, c, a))):
+        assert got == wrap(ref)
+        assert_canonical(field, got._d.values())
+    want = _ref_scale(field, c, a, mono)
+    if _fits(want):
+        got = pa.mul_term(c, _packed(ring, mono))
+        assert got == wrap(want)
+        assert_canonical(field, got._d.values())
+    else:
+        with pytest.raises(RingError):
+            pa.mul_term(c, _packed(ring, mono))
 
 
 def test_products_past_the_largest_exponent_raise():

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,3 +278,140 @@ def test_label_index_beyond_the_label_bits_is_refused():
     assert top.lt() == (0, 1, (LABEL_BITS,))
     assert not top.uses_variable("t1")
     assert str(e) == f"t1 + u{LABEL_BITS}"
+
+
+# -- coefficient arithmetic against per-term field calls -------------------------
+#
+# A reference element is {(label, exponents): coefficient}, `exponents` the
+# tuple of t_3, t_2, t_1 exponents, with every sum made by a field call.
+
+REF_VARS = ("t3", "t2", "t1")
+
+
+def _ref_sign(a, b):
+    """The shuffle sign of e_a * e_b, 0 when the labels meet; counted
+    here, apart from superalg."""
+    if set(a) & set(b):
+        return 0
+    return -1 if sum(1 for i in a for j in b if i > j) & 1 else 1
+
+
+def _ref_add(field, acc, key, c):
+    acc[key] = field.add(acc.get(key, field.zero), c)
+
+
+def _ref_clean(field, acc):
+    return {k: c for k, c in acc.items() if c != field.zero}
+
+
+def assert_canonical(field, coeffs):
+    for c in coeffs:
+        if field.char:
+            assert type(c) is int and 0 < c < field.char
+        else:
+            assert type(c) is Fraction and c != 0
+
+
+def _ref_element(r, ref):
+    entries = {}
+    for (label, exps), c in ref.items():
+        mono = r.mono(dict(zip(REF_VARS, exps)))
+        entries.setdefault(label, {})[mono] = c
+    return ExtElement(r, {s: r.poly(d) for s, d in entries.items()}, U)
+
+
+def _ref_wedge(field, rows, labels):
+    """The minors of `rows` over every len(rows)-subset of `labels`, by the
+    Leibniz formula with field calls."""
+    out = {}
+    k = len(rows)
+    for cols in itertools.combinations(range(len(labels)), k):
+        det = field.zero
+        for perm in itertools.permutations(range(k)):
+            inversions = sum(1 for i in range(k) for j in range(i + 1, k)
+                             if perm[i] > perm[j])
+            term = field.one
+            for i in range(k):
+                term = field.mul(term, rows[i][cols[perm[i]]])
+            det = field.sub(det, term) if inversions & 1 else field.add(
+                det, term)
+        out[tuple(labels[j] for j in cols)] = det
+    return _ref_clean(field, out)
+
+
+@st.composite
+def coefficient_cases(draw):
+    field = draw(st.sampled_from([F2, PrimeField(5), Q]))
+    labels = [()] + [s for k in (1, 2) for s in itertools.combinations(
+        range(1, 5), k)]
+    exps = st.tuples(*[st.integers(0, 2)] * len(REF_VARS))
+
+    def element():
+        acc = {}
+        for label, e, c in draw(st.lists(st.tuples(
+                st.sampled_from(labels), exps, st.integers(-3, 3)),
+                max_size=5)):
+            _ref_add(field, acc, (label, e), field.from_int(c))
+        return _ref_clean(field, acc)
+
+    poly = {}
+    for e, c in draw(st.lists(st.tuples(exps, st.integers(-3, 3)),
+                              max_size=3)):
+        _ref_add(field, poly, e, field.from_int(c))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=4,
+                                  max_size=4), min_size=1, max_size=3))
+    rows = [[field.from_int(x) for x in row] for row in rows]
+    c = field.from_int(draw(st.integers(-3, 3)))
+    return field, element(), element(), _ref_clean(field, poly), rows, c
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficient_cases())
+def test_ext_arithmetic_matches_field_call_reference(case):
+    """Sums, negation, scaling, products, monomial maps and wedge expansion
+    agree with per-term field calls over F_2, F_5 and Q, and store only
+    canonical coefficients."""
+    from recplane.oracle import wedge_expand
+
+    field, a, b, poly, rows, c = case
+    r = PolyRing(field, REF_VARS)
+    ea, eb = _ref_element(r, a), _ref_element(r, b)
+
+    def combine(op):
+        acc = dict(a)
+        for key, x in b.items():
+            acc[key] = op(acc.get(key, field.zero), x)
+        return _ref_clean(field, acc)
+
+    prod, poly_prod, dropped = {}, {}, {}
+    for (sa, ma), ca in a.items():
+        for (sb, mb), cb in b.items():
+            sign = _ref_sign(sa, sb)
+            if sign:
+                x = field.mul(ca, cb)
+                _ref_add(field, prod, (tuple(sorted(sa + sb)),
+                                       tuple(map(sum, zip(ma, mb)))),
+                         x if sign > 0 else field.neg(x))
+        for mp, cp in poly.items():
+            _ref_add(field, poly_prod, (sa, tuple(map(sum, zip(ma, mp)))),
+                     field.mul(ca, cp))
+        _ref_add(field, dropped, (sa, ma[:-1] + (0,)), ca)
+    t1 = MAX_EXPONENT << r.shift_of("t1")
+    poly_elem = r.poly({r.mono(dict(zip(REF_VARS, e))): x
+                        for e, x in poly.items()})
+    for got, ref in (
+            (ea + eb, combine(field.add)),
+            (ea - eb, combine(field.sub)),
+            (-ea, {k: field.neg(x) for k, x in a.items()}),
+            (ea.scale(c), _ref_clean(field, {k: field.mul(c, x)
+                                             for k, x in a.items()})),
+            (ea.poly_mul(poly_elem), _ref_clean(field, poly_prod)),
+            (ext_mul(ea, eb), _ref_clean(field, prod)),
+            (ea.map_monomials(lambda m, s: m & ~t1, r, U),
+             _ref_clean(field, dropped))):
+        assert got == _ref_element(r, ref)
+        assert_canonical(field, got._t.values())
+    labels = (1, 2, 3, 4)
+    got = wedge_expand(field, rows, labels)
+    assert got == _ref_wedge(field, rows, labels)
+    assert_canonical(field, got.values())
