@@ -302,6 +302,11 @@ def run(argv=None) -> int:
             if args.grassmann > arr.m:
                 raise SpecError(f"--grassmann {args.grassmann} is above the "
                                 f"number of forms, {arr.m}")
+            # theorem2 checks degrees past the rank; the Groebner-lemma
+            # family has no basis labels of that size and would pass empty
+            if args.check == "groebner-lemma" and args.grassmann > arr.rank:
+                raise SpecError(f"--grassmann {args.grassmann} is above the "
+                                f"rank, {arr.rank}")
         rep = _run_check(arr, args, caps)
         emit(args, rep.to_json, lambda: _report_lines(rep))
         return EXIT_PASS if rep.ok else EXIT_FAIL

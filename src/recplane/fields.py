@@ -139,15 +139,19 @@ class RationalField:
     def neg(self, a):
         return -a
 
+    # a scalar may be a plain int (`PolyRing.canonical` keeps ints), and an
+    # int over an int is a float: only a Fraction operand keeps `/` exact
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return 1 / a if isinstance(a, Fraction) else Fraction(1, a)
 
     def div(self, a, b):
-        if b == 0:
+        if not b:
             raise ZeroDivisionError("division by zero")
-        return Fraction(a) / b
+        if isinstance(a, Fraction) or isinstance(b, Fraction):
+            return a / b
+        return Fraction(a, b)
 
     def parse(self, text: str):
         try:

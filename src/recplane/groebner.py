@@ -18,6 +18,16 @@ Work saved on the way to that basis, none of which changes it:
 basis is unique, so equal bases are equal ideals and different bases are
 different ideals.
 
+Coefficients are plain scalars: ints in 1..p-1 over F_p, ints or Fractions
+over Q.  A division step takes its factor from one `field.div` of the
+leading coefficient, and an S-polynomial its two scalings from one
+`field.inv` each; every other operation is plain arithmetic, one loop for
+both fields.  A term updated in `normal_form` is reduced `% p` at once, as
+the next step reads a canonical leading coefficient, and dropped when it is
+zero; `s_polynomial` sums unreduced and canonicalises once
+(`PolyRing.poly`).  Over Q no coefficient is divided with `/`: an int over
+an int would be a float.
+
 `is_groebner` applies no pair criterion, so it stays an independent check
 of the completion.  Nothing here comes from `modules`: the two engines are
 compared against each other.
@@ -60,7 +70,8 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         reducers = [(g.lm(), g.lc(), g) for g in basis if not g.is_zero()]
     if not reducers:
         return f
-    field = f.ring.field
+    div = f.ring.field.div
+    p = f.ring.field.char
     guard = f.ring.guard
     work = dict(f._d)
     rem = {}
@@ -74,7 +85,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         else:
             rem[m] = c
             continue
-        factor = field.div(c, lc)
+        factor = div(c, lc)
         # work -= factor * x^shift * g  (the leading terms cancel)
         for gm, gc in g._d.items():
             if gm == lm:
@@ -82,22 +93,32 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
             key = gm + shift
             if key & guard:
                 raise ExponentOverflow()
-            s = field.sub(work.get(key, field.zero), field.mul(factor, gc))
-            if s == field.zero:
-                work.pop(key, None)
-            else:
+            s = work.get(key, 0) - factor * gc
+            if p:
+                s %= p
+            if s:
                 work[key] = s
+            else:
+                work.pop(key, None)
     return Polynomial(f.ring, rem)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
+    inv = ring.field.inv
     lmf, lcf = f.lt()
     lmg, lcg = g.lt()
     lcm = ring.mono_lcm(lmf, lmg)
-    a = f.mul_term(ring.field.inv(lcf), ring.mono_div(lcm, lmf))
-    b = g.mul_term(ring.field.inv(lcg), ring.mono_div(lcm, lmg))
-    return a - b
+    af, sf = inv(lcf), lcm - lmf
+    ag, sg = inv(lcg), lcm - lmg
+    d = {m + sf: af * c for m, c in f._d.items()}
+    for m, c in g._d.items():
+        key = m + sg
+        d[key] = d.get(key, 0) - ag * c
+    guard = ring.guard
+    if any(key & guard for key in d):
+        raise ExponentOverflow()
+    return ring.poly(d)
 
 
 def _chain_criterion(ring, reducers, pending, i, j, lcm):

@@ -12,6 +12,14 @@ bit of the shifted ring guard set.  Only `superalg` turns labels into
 masks; here a mask is read as `key & LABEL_MASK` and a monomial as
 `key >> LABEL_BITS`.
 
+Coefficients follow the rule of `groebner`: a division step takes one
+`field.div` and an S-pair one `field.inv` per element, everything else is
+plain arithmetic in one loop for both fields.  `module_normal_form`
+reduces each updated term `% p` at once and drops it when zero; each
+quotient coefficient is a step's factor as it is, because the leading key
+falls at every step, so no reducer meets the same shift twice.  `_spair`
+sums unreduced and calls `PolyRing.canonical` once.
+
 `module_groebner` interreduces its inputs before the completion; both the
 plain and the tracked completion skip same-label pairs by the
 Gebauer-Moeller chain criterion.  The tracked completion keeps
@@ -73,45 +81,44 @@ def module_normal_form(v: ExtElement, basis, track=False):
         basis = IndexedBasis(basis)
     by_label = basis.by_label
     ring = v.ring
-    field = ring.field
-    zero = field.zero
+    div = ring.field.div
+    p = ring.field.char
     guard = ring.guard << LABEL_BITS
     work = dict(v._t)
     rem: dict = {}
     quots: dict = {} if track else None
     while work:
         k = max(work)
+        c = work.pop(k)
         for lk, lc, terms, idx in by_label.get(k & LABEL_MASK, ()):
             shift = k - lk  # the packed quotient, when lk divides k
             if shift >= 0 and not shift & guard:
                 break
         else:
-            rem[k] = work.pop(k)
+            rem[k] = c
             continue
-        factor = field.div(work[k], lc)
+        factor = div(c, lc)
         if track:
-            qd = quots.setdefault(idx, {})
-            q = shift >> LABEL_BITS
-            s = field.add(qd.get(q, zero), factor)
-            if s == zero:
-                qd.pop(q, None)
-            else:
-                qd[q] = s
-        # the leading term cancels k itself
+            # k falls at every step, so no (reducer, shift) comes twice
+            quots.setdefault(idx, {})[shift >> LABEL_BITS] = factor
+        # work -= factor * shifted reducer; its leading term cancels k
+        # and is skipped
         for gk, gc in terms.items():
+            if gk == lk:
+                continue
             key = gk + shift
             if key & guard:
                 raise ExponentOverflow()
-            val = field.sub(work.get(key, zero), field.mul(factor, gc))
-            if val == zero:
-                work.pop(key, None)
-            else:
+            val = work.get(key, 0) - factor * gc
+            if p:
+                val %= p
+            if val:
                 work[key] = val
+            else:
+                work.pop(key, None)
     remainder = ExtElement._of_packed(ring, rem, v.kind)
     if track:
-        return remainder, {
-            i: Polynomial(ring, d) for i, d in quots.items() if d
-        }
+        return remainder, {i: Polynomial(ring, d) for i, d in quots.items()}
     return remainder
 
 
@@ -119,7 +126,6 @@ def _spair(f: ExtElement, g: ExtElement):
     """S-pair data for elements whose leading terms share a label."""
     ring = f.ring
     field = ring.field
-    zero = field.zero
     kf = f.lead_key()
     kg = g.lead_key()
     mf = kf >> LABEL_BITS
@@ -132,22 +138,17 @@ def _spair(f: ExtElement, g: ExtElement):
     guard = ring.guard << LABEL_BITS
     df = sf << LABEL_BITS
     dg = sg << LABEL_BITS
-    one = field.one
-    if af == one:
-        t = {k + df: c for k, c in f._t.items()}
-    else:
-        t = {k + df: field.mul(af, c) for k, c in f._t.items()}
+    # summed unreduced; the leading terms cancel in `canonical`
+    t = {k + df: af * c for k, c in f._t.items()}
+    get = t.get
     for k, c in g._t.items():
         key = k + dg
-        val = field.sub(t.get(key, zero), c if ag == one else field.mul(ag, c))
-        if val == zero:
-            t.pop(key, None)
-        else:
-            t[key] = val
+        t[key] = get(key, 0) - ag * c
     for key in t:
         if key & guard:
             raise ExponentOverflow()
-    return ExtElement._of_packed(ring, t, f.kind), (af, sf), (ag, sg)
+    return (ExtElement._of_packed(ring, ring.canonical(t), f.kind),
+            (af, sf), (ag, sg))
 
 
 def _row_combine(ring, terms):
@@ -239,7 +240,7 @@ def module_buchberger(gens, *, track=False, track_limit=None):
         if track:
             r, quots = module_normal_form(s, G, track=True)
             mono_i = Polynomial(ring, {si: ai})
-            mono_j = Polynomial(ring, {sj: field.neg(aj)})
+            mono_j = ring.poly({sj: -aj})
             parts = [(reps[i], mono_i), (reps[j], mono_j)]
             for k, q in quots.items():
                 parts.append((reps[k], -q))
@@ -251,12 +252,11 @@ def module_buchberger(gens, *, track=False, track_limit=None):
             if track:
                 syz.append(row)
         else:
-            lc = r._t[r.lead_key()]
-            if lc != field.one:
-                inv = field.inv(lc)
-                r = r.scale(inv)
-                if track:
-                    row = {k: p.scale(inv) for k, p in row.items()}
+            # `scale` returns its element as it is when inv is one
+            inv = field.inv(r._t[r.lead_key()])
+            r = r.scale(inv)
+            if track:
+                row = {k: p.scale(inv) for k, p in row.items()}
             G.append(r)
             if track:
                 reps.append(row)

@@ -50,6 +50,7 @@ peak memory.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -665,6 +666,9 @@ def verify_groebner_lemma(arr: Arrangement, r: int,
     caps = caps or Caps()
     if arr.field.char == 0:
         raise FieldError("family enumeration needs a finite field")
+    if r > arr.rank:
+        raise ValueError(f"r = {r} is above the rank, {arr.rank}: no basis "
+                         f"labels of that size")
     field = arr.field
     tr = t_ring(arr)
     ring = PolyRing(field, ("s",) + tr.variables)
@@ -764,19 +768,18 @@ def _unpacked(poly: Polynomial):
 
 
 def _evaluate_at(field, terms, point):
-    """The value at `point` (indexed by rank - 1) of `_unpacked` terms."""
-    zero = field.zero
-    total = zero
+    """The value at `point` (indexed by rank - 1) of `_unpacked` terms, over
+    the prime field `field`; the sum is reduced once."""
+    total = 0
     for c, factors in terms:
         for k, e in factors:
             v = point[k]
-            if v == zero:
+            if not v:
                 break
-            for _ in range(e):
-                c = field.mul(c, v)
+            c *= v ** e
         else:
-            total = field.add(total, c)
-    return total
+            total += c
+    return total % field.char
 
 
 def _vanishing_count(field, m: int, gens) -> int:
@@ -796,8 +799,7 @@ def _vanishing_count(field, m: int, gens) -> int:
             due[last - 1].append(terms)
         elif terms:
             return 0  # a nonzero constant vanishes nowhere
-    point = [field.zero] * m
-    zero = field.zero
+    point = [0] * m
 
     def extend(k: int) -> int:
         if k == m:
@@ -805,8 +807,7 @@ def _vanishing_count(field, m: int, gens) -> int:
         total = 0
         for v in field.elements():
             point[k] = v
-            if all(_evaluate_at(field, terms, point) == zero
-                   for terms in due[k]):
+            if not any(_evaluate_at(field, terms, point) for terms in due[k]):
                 total += extend(k + 1)
         return total
 
@@ -827,18 +828,10 @@ def count_points(arr: Arrangement, caps: Caps | None = None) -> Report:
     for f in flats(arr, caps):
         sub = restrict_to_flat(arr, f)
         caps.check("point enumeration", p ** sub.n, caps.points)
-        cnt = 0
-        for point in field_points(field, sub.n):
-            good = True
-            for row in sub.forms:
-                v = field.zero
-                for c, x in zip(row, point):
-                    v = field.add(v, field.mul(c, x))
-                if v == field.zero:
-                    good = False
-                    break
-            if good:
-                cnt += 1
+        # a point counts when no form of the flat vanishes on it
+        cnt = sum(
+            all(sum(map(operator.mul, row, point)) % p for row in sub.forms)
+            for point in field_points(field, sub.n))
         per_flat.append({"flat": list(f.indices), "count": cnt})
         rhs += cnt
     status = "pass" if lhs == rhs else "fail"

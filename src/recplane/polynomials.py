@@ -23,9 +23,9 @@ coefficients unreduced, as plain ints of any residue class over F_p and as
 Fractions over Q, and hands the dict once to `PolyRing.canonical`, which
 reduces each sum `% p` and drops the zeros.  No such constructor calls the
 field per term, and F_2 takes the same path as every other prime.  The
-division loops of `groebner` and `modules` are the exception: each step
-reads a canonical leading coefficient of what it has reduced so far, so
-they keep their per-term field calls.
+division loops of `groebner` and `modules` use plain scalars as well, but
+reduce each updated term `% p` at once, since every step reads a canonical
+leading coefficient of what it has reduced so far.
 
 The layout stays in this module.  Elsewhere a monomial is read with
 `mono_pairs`, or, in hot loops, as `(m >> ring.shift_of(name)) &

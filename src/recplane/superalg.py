@@ -396,14 +396,16 @@ def ext_mul_monomial(subset, e: ExtElement) -> ExtElement:
     nothing is multiplied: a term of e whose label meets `subset` drops
     out, and every other one gains the subset's bits, negated when the
     shuffle sign is -1.  Distinct terms stay distinct, so none combine.
+    A coefficient c of e is canonical, so its negative is `p - c` over F_p
+    and, with characteristic 0, `-c` over Q.
     """
     cmask = label_mask(subset)
-    neg = e.ring.field.neg
+    p = e.ring.field.char
     t = {}
     for k, c in e._t.items():
         mask = k & LABEL_MASK
         if not mask & cmask:
-            t[k | cmask] = neg(c) if _odd_swaps(cmask, mask) else c
+            t[k | cmask] = p - c if _odd_swaps(cmask, mask) else c
     return ExtElement._of_packed(e.ring, t, e.kind)
 
 

@@ -234,6 +234,8 @@ GRASSMANN_IGNORED = ("theorem1", "minimal", "stratification", "lemma7",
      "grassmann 4 is above"),
     ({}, ["verify", "--check", "groebner-lemma", "--grassmann", "4"],
      "grassmann 4 is above"),
+    ({}, ["verify", "--check", "groebner-lemma", "--grassmann", "3"],
+     "grassmann 3 is above the rank, 2"),
     ({"n": 2.7}, ["circuits"], "2.7"),
     ({"n": True}, ["circuits"], "True"),
     ({"field": {"type": "prime", "p": 2.0}}, ["circuits"], "2.0"),
@@ -244,7 +246,9 @@ GRASSMANN_IGNORED = ("theorem1", "minimal", "stratification", "lemma7",
      for check in GRASSMANN_IGNORED],
     ids=["one-fifth-over-F5", "one-over-zero-over-Q", "flat-0", "flat-9",
          "invert-9", "grassmann-negative", "grassmann-above-m-theorem2",
-         "grassmann-above-m-groebner-lemma", "n-float", "n-boolean", "p-float",
+         "grassmann-above-m-groebner-lemma",
+         "grassmann-above-rank-groebner-lemma", "n-float", "n-boolean",
+         "p-float",
          "invert-outside-flat", "p-beyond-the-primality-bound"]
     + [f"grassmann-{check}" for check in GRASSMANN_IGNORED])
 def test_malformed_input_exit_code(tmp_path, capsys, changes, argv, message):

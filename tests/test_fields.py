@@ -72,6 +72,25 @@ def test_rational_field_reduced_fractions():
         q.inv(q.zero)
 
 
+def test_rational_division_of_plain_ints_is_exact():
+    """`PolyRing.canonical` keeps int coefficients over Q; dividing them
+    gives a Fraction, never the float of `int / int`."""
+    q = RationalField()
+    for got, want in ((q.div(11, 3), Fraction(11, 3)),
+                      (q.inv(3), Fraction(1, 3)),
+                      (q.inv(-1), Fraction(-1)),
+                      (q.div(4, 2), Fraction(2)),
+                      (q.div(Fraction(1, 2), 3), Fraction(1, 6)),
+                      (q.div(3, Fraction(3, 2)), Fraction(2)),
+                      (q.inv(Fraction(-2, 5)), Fraction(-5, 2))):
+        assert type(got) is Fraction and got == want
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            q.inv(zero)
+        with pytest.raises(ZeroDivisionError):
+            q.div(1, zero)
+
+
 def test_field_json_roundtrip():
     for f in (PrimeField(3), RationalField()):
         assert field_from_json(field_to_json(f)) == f

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from recplane.polynomials import PolyRing, RingError, mono_pairs
 
 Q = RationalField()
 F2 = PrimeField(2)
+F5 = PrimeField(5)
 
 
 def t_ring(field, m):
@@ -136,6 +138,109 @@ def test_groebner_membership_of_combinations(da, db):
     if combo.is_zero():
         return
     assert normal_form(combo, basis).is_zero()
+
+
+# -- plain-scalar division against one field call per term -------------------
+
+
+def _reference_normal_form(f, basis):
+    """{monomial: coefficient} of the remainder, by the division loop with a
+    field.sub and a field.mul per updated term, kept as the reference."""
+    ring = f.ring
+    field = ring.field
+    reducers = [(g.lm(), g.lc(), g) for g in basis if not g.is_zero()]
+    work = dict(f._d)
+    rem = {}
+    while work:
+        m = max(work)
+        c = work.pop(m)
+        for lm, lc, g in reducers:
+            if ring.mono_divides(lm, m):
+                break
+        else:
+            rem[m] = c
+            continue
+        factor = field.div(c, lc)
+        for gm, gc in g._d.items():
+            if gm != lm:
+                key = ring.mono_mul(gm, ring.mono_div(m, lm))
+                s = field.sub(work.get(key, field.zero), field.mul(factor, gc))
+                if s == field.zero:
+                    work.pop(key, None)
+                else:
+                    work[key] = s
+    return rem
+
+
+def _reference_s_polynomial(f, g):
+    """{monomial: coefficient} of lcm/lt(f) * f - lcm/lt(g) * g, one
+    field.add and field.mul per term."""
+    ring = f.ring
+    field = ring.field
+    lcm = ring.mono_lcm(f.lm(), g.lm())
+    out = {}
+    for p, sign in ((f, field.one), (g, field.neg(field.one))):
+        a = field.mul(sign, field.inv(p.lc()))
+        shift = ring.mono_div(lcm, p.lm())
+        for m, c in p._d.items():
+            key = m + shift
+            s = field.add(out.get(key, field.zero), field.mul(a, c))
+            if s == field.zero:
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return out
+
+
+def assert_canonical(field, coeffs):
+    """Over F_p an int in 1..p-1; over Q a nonzero int or Fraction."""
+    for c in coeffs:
+        if field.char:
+            assert type(c) is int and 0 < c < field.char, c
+        else:
+            assert type(c) in (int, Fraction) and c != 0, c
+
+
+# Over Q a coefficient is a plain int or a Fraction, as `PolyRing.canonical`
+# keeps either; over F_p a drawn a/b is read as a / b.
+mixed_coeff = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.sampled_from((3, 7))),
+)
+mixed_poly = st.lists(
+    st.tuples(mixed_coeff, st.tuples(*[st.integers(0, 2)] * 3)), max_size=5)
+
+
+def _mixed_poly(r, data):
+    d = {}
+    for c, e in data:
+        if isinstance(c, Fraction) and r.field.char:
+            c = r.field.parse(str(c))
+        m = r.mono({f"t{i + 1}": x for i, x in enumerate(e) if x})
+        d[m] = d.get(m, 0) + c
+    return r.poly(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((F2, F5, Q)), mixed_poly,
+       st.lists(mixed_poly, max_size=4))
+def test_normal_form_matches_field_call_reference(field, df, dbasis):
+    """Remainders and S-polynomials equal those of per-term field calls,
+    from a plain list and from a reducer basis, and every coefficient is
+    canonical: never a float, however ints and Fractions mix over Q."""
+    r = t_ring(field, 3)
+    f = _mixed_poly(r, df)
+    basis = [_mixed_poly(r, d) for d in dbasis]
+    want = _reference_normal_form(f, basis)
+    for divisor in (basis, groebner._ReducerBasis(basis)):
+        got = normal_form(f, divisor)
+        assert got._d == want
+        assert_canonical(field, got._d.values())
+    nonzero = [g for g in basis if not g.is_zero()]
+    for g, h in itertools.combinations(nonzero, 2):
+        s = s_polynomial(g, h)
+        assert s._d == _reference_s_polynomial(g, h)
+        assert_canonical(field, s._d.values())
 
 
 # -- the pair criteria leave the reduced basis unchanged ----------------------

@@ -3,6 +3,7 @@ import itertools
 import pickle
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -559,11 +560,30 @@ MIXED_LABELS = tuple(
 term_lists = st.lists(
     st.tuples(
         st.integers(0, len(MIXED_LABELS) - 1),  # label slot
-        st.integers(1, 4),  # coefficient
+        # coefficient: over Q a plain int or a Fraction, as
+        # `PolyRing.canonical` keeps either; over F_p a/b reads as a / b
+        st.one_of(st.integers(1, 4),
+                  st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                            st.sampled_from((3, 7)))),
         st.tuples(*[st.integers(0, 2)] * 3),  # exponents
     ),
     max_size=5,
 )
+
+
+def mixed_terms(field, terms):
+    """Drawn terms with each Fraction read in `field` over F_p."""
+    return [(slot, field.parse(str(c)) if field.char else c, e)
+            for slot, c, e in terms]
+
+
+def assert_canonical(field, coeffs):
+    """Over F_p an int in 1..p-1; over Q a nonzero int or Fraction."""
+    for c in coeffs:
+        if field.char:
+            assert type(c) is int and 0 < c < field.char, c
+        else:
+            assert type(c) in (int, Fraction) and c != 0, c
 
 
 @settings(max_examples=150, deadline=None)
@@ -578,16 +598,62 @@ def test_normal_form_matches_the_reference_division(field, v_terms,
     """Remainders, and quotients under track=True, equal those of the
     dict-of-dicts division, with an `IndexedBasis` or a plain list."""
     r = t_ring(field, 3)
-    v = from_terms(r, MIXED_LABELS, v_terms)
-    basis = [from_terms(r, MIXED_LABELS, terms) for terms in basis_terms]
+    v = from_terms(r, MIXED_LABELS, mixed_terms(field, v_terms))
+    basis = [from_terms(r, MIXED_LABELS, mixed_terms(field, terms))
+             for terms in basis_terms]
     divisor = modules.IndexedBasis(basis) if indexed else basis
     assert module_normal_form(v, divisor) == _reference_normal_form(v, basis)
     got = module_normal_form(v, divisor, track=True)
     assert got == _reference_normal_form(v, basis, track=True)
     rem, quots = got
+    assert_canonical(field, rem._t.values())
+    for q in quots.values():
+        assert_canonical(field, q._d.values())
     if quots:
         rem = rem + combine(basis, quots)
     assert rem == v
+
+
+def _reference_spair(f, g):
+    """`_spair`'s result by one field.add and field.mul per term, on the
+    label -> Polynomial view, kept as the reference."""
+    ring = f.ring
+    field = ring.field
+    (mf, cf, _), (mg, cg, _) = f.lt(), g.lt()
+    lcm = ring.mono_lcm(mf, mg)
+    af, ag = field.inv(cf), field.inv(cg)
+    sf, sg = ring.mono_div(lcm, mf), ring.mono_div(lcm, mg)
+    out = {}
+    for e, a, shift in ((f, af, sf), (g, field.neg(ag), sg)):
+        for label, p in e.entries.items():
+            d = out.setdefault(label, {})
+            for m, c in p._d.items():
+                key = m + shift
+                s = field.add(d.get(key, field.zero), field.mul(a, c))
+                if s == field.zero:
+                    d.pop(key, None)
+                else:
+                    d[key] = s
+    spair = ExtElement(ring, {label: Polynomial(ring, d)
+                              for label, d in out.items() if d})
+    return spair, (af, sf), (ag, sg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((F2, F5, Q)), st.lists(term_lists, max_size=5))
+def test_spair_matches_the_field_call_reference(field, elem_terms):
+    """The S-pair of every two elements with one leading label, and its
+    two scalings, equal those of per-term field calls; its coefficients
+    are canonical."""
+    r = t_ring(field, 3)
+    elems = [e for e in (from_terms(r, MIXED_LABELS, mixed_terms(field, t))
+                         for t in elem_terms) if not e.is_zero()]
+    for f, g in itertools.combinations(elems, 2):
+        if f.lt()[2] != g.lt()[2]:
+            continue
+        got = modules._spair(f, g)
+        assert got == _reference_spair(f, g)
+        assert_canonical(field, got[0]._t.values())
 
 
 def test_module_arithmetic_raises_exponent_overflow():

@@ -5,11 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recplane.arrangement import Arrangement, circuits, closure, flats
+from recplane.arrangement import (
+    Arrangement,
+    circuits,
+    closure,
+    flats,
+    restrict_to_flat,
+)
 from recplane.caps import Caps, CapExceeded
 from recplane.fields import PrimeField, RationalField
 from recplane.oracle import _evaluate_at, _rank_images, _unpacked, _vanishing_count
-from recplane.polynomials import PolyRing
+from recplane.polynomials import PolyRing, mono_pairs
 from recplane.groebner import ideal_equal, is_groebner
 from recplane.modules import is_module_groebner, module_groebner, module_normal_form
 from recplane.oracle import (
@@ -727,6 +733,14 @@ def test_groebner_lemma_examples(four_cycle, triangle_f2, boolean3_f2):
     assert rep.ok  # no relations: the first family alone passes
 
 
+def test_groebner_lemma_refuses_degrees_above_the_rank(triangle_f2):
+    """Above the rank there are no basis labels of size r, and an empty
+    family would pass without checking anything."""
+    assert verify_groebner_lemma(triangle_f2, 2).details["family_size"] > 0
+    with pytest.raises(ValueError, match="above the rank, 2"):
+        verify_groebner_lemma(triangle_f2, 3)
+
+
 def test_groebner_lemma_cap():
     fano = Arrangement(
         F2, 3, [v for v in itertools.product([0, 1], repeat=3) if any(v)]
@@ -784,6 +798,26 @@ def small_fp_arrangements(draw):
     return Arrangement(PrimeField(p), n, draw(st.lists(vec, max_size=4)))
 
 
+def _field_call_flat_counts(arr):
+    """Per flat, the points of its restriction off every form, each form
+    evaluated with one field.add and field.mul per coordinate."""
+    field = arr.field
+    out = []
+    for f in flats(arr):
+        sub = restrict_to_flat(arr, f)
+        count = 0
+        for point in itertools.product(range(field.char), repeat=sub.n):
+            values = []
+            for row in sub.forms:
+                v = field.zero
+                for c, x in zip(row, point):
+                    v = field.add(v, field.mul(c, x))
+                values.append(v)
+            count += all(v != field.zero for v in values)
+        out.append({"flat": list(f.indices), "count": count})
+    return out
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_fp_arrangements())
 def test_count_points_matches_brute_force(arr):
@@ -791,6 +825,46 @@ def test_count_points_matches_brute_force(arr):
     assert rep.details["lhs"] == _brute_force_count(arr.field, arr.m,
                                                      kernel_I(arr))
     assert rep.ok
+    assert rep.details["per_flat"] == _field_call_flat_counts(arr)
+    assert rep.details["rhs"] == sum(e["count"]
+                                     for e in rep.details["per_flat"])
+
+
+def _field_call_value(field, poly, point):
+    """poly at point (coordinate k is the variable of rank k + 1) with one
+    field.mul per factor and one field.add per term."""
+    total = field.zero
+    for m, c in poly._d.items():
+        for rank, e in mono_pairs(m):
+            for _ in range(e):
+                c = field.mul(c, point[rank - 1])
+        total = field.add(total, c)
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.data())
+def test_evaluate_at_matches_field_call_reference(p, data):
+    """The plain-int evaluation equals per-term field calls on random
+    polynomials, at a drawn point and with each coordinate set to zero,
+    and is a canonical int."""
+    field = PrimeField(p)
+    ring = PolyRing(field, ("t3", "t2", "t1"))
+    terms = data.draw(st.lists(
+        st.tuples(st.integers(1, p - 1), st.tuples(*[st.integers(0, 3)] * 3)),
+        max_size=6))
+    d: dict = {}
+    for c, e in terms:
+        m = ring.mono({f"t{i + 1}": x for i, x in enumerate(e) if x})
+        d[m] = d.get(m, 0) + c
+    poly = ring.poly(d)
+    point = data.draw(st.lists(st.integers(0, p - 1), min_size=3,
+                               max_size=3))
+    points = [point] + [point[:k] + [0] + point[k + 1:] for k in range(3)]
+    for pt in points:
+        got = _evaluate_at(field, _unpacked(poly), pt)
+        assert type(got) is int and 0 <= got < p
+        assert got == _field_call_value(field, poly, pt)
 
 
 def test_evaluate_at():
