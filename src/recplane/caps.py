@@ -27,11 +27,22 @@ class Caps:
 
     @staticmethod
     def from_env() -> "Caps":
+        """The defaults, each overridden by its RECPLANE_CAP_<NAME> variable
+        when set; a value that is not a nonnegative integer raises
+        ValueError naming the variable."""
         vals = {}
         for name in ("points", "flats", "relations", "family"):
-            raw = os.environ.get(f"RECPLANE_CAP_{name.upper()}")
+            var = f"RECPLANE_CAP_{name.upper()}"
+            raw = os.environ.get(var)
             if raw:
-                vals[name] = int(raw)
+                try:
+                    value = int(raw)
+                except ValueError:
+                    value = -1
+                if value < 0:
+                    raise ValueError(f"{var} must be a nonnegative integer, "
+                                     f"not {raw!r}")
+                vals[name] = value
         return Caps(**vals)
 
     def check(self, what: str, required: int, cap: int) -> None:

@@ -117,10 +117,14 @@ def load_arrangement(path: str) -> Arrangement:
 
 
 def caps_from_args(args) -> Caps:
+    """The caps of the environment (`Caps.from_env`), overridden by the
+    --cap-* flags; a negative cap is an input error."""
     base = Caps.from_env()
     vals = {}
     for name in ("points", "flats", "relations", "family"):
         flag = getattr(args, f"cap_{name}")
+        if flag is not None and flag < 0:
+            raise SpecError(f"--cap-{name} must be nonnegative, not {flag}")
         vals[name] = flag if flag is not None else getattr(base, name)
     return Caps(**vals)
 
@@ -135,35 +139,44 @@ def write_json(write, obj) -> None:
     Payloads hold dicts with str keys, lists, tuples, str, int, bool and
     None; any other value, floats included, raises TypeError.  A generator
     is written as a list, each item as soon as it is made, so a payload can
-    stream.
+    stream.  A dict met more than once at one depth (the one relation dict
+    of many chart generators) is encoded once; its text is kept only until
+    the item of the generator it belongs to is written, or, outside a
+    generator, until the payload is.
     """
     parts = []
-    _encode(obj, "\n", parts, write)
+    _encode(obj, "\n", parts, write, {})
     parts.append("\n")
     write("".join(parts))
 
 
-def _encode(obj, nl, parts, write) -> None:
+def _encode(obj, nl, parts, write, met) -> None:
     """Append the text of `obj`, whose lines start with `nl`, to `parts`;
-    a generator also writes out `parts` after each of its items."""
+    a generator also writes out `parts` after each of its items.
+
+    `met` maps (id, nl) of each dict encoded so far to (the list its text
+    went to, start, end), and, from its second meeting on, to its text.
+    Every dict it names is alive, since the payload holds it, and every
+    list it names still holds that text: when a generator writes out
+    `parts` and forgets its item, `met` is cleared too.
+    """
     if isinstance(obj, dict):
         if not obj:
             parts.append("{}")
             return
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be str, not {key!r}")
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            val = obj[key]
-            if type(val) is str:
-                parts.append(sep + _escape(key) + ": " + _escape(val))
-            else:
-                parts.append(sep + _escape(key) + ": ")
-                _encode(val, inner, parts, write)
-            sep = "," + inner
-        parts.append(nl + "}")
+        key = (id(obj), nl)
+        got = met.get(key)
+        if got is None:
+            start = len(parts)
+            met[key] = None
+            _encode_dict(obj, nl, parts, write, met)
+            if key in met:  # else a generator inside wrote `parts` out
+                met[key] = (parts, start, len(parts))
+            return
+        if type(got) is tuple:
+            where, start, end = got
+            got = met[key] = "".join(where[start:end])
+        parts.append(got)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
@@ -177,7 +190,7 @@ def _encode(obj, nl, parts, write) -> None:
         sep = "[" + inner
         for x in obj:
             parts.append(sep)
-            _encode(x, inner, parts, write)
+            _encode(x, inner, parts, write, met)
             sep = "," + inner
         parts.append(nl + "]")
     elif isinstance(obj, types.GeneratorType):
@@ -185,9 +198,10 @@ def _encode(obj, nl, parts, write) -> None:
         sep = first = "[" + inner
         for x in obj:
             parts.append(sep)
-            _encode(x, inner, parts, write)
+            _encode(x, inner, parts, write, met)
             write("".join(parts))
             parts.clear()
+            met.clear()
             sep = "," + inner
         parts.append("[]" if sep is first else nl + "]")
     elif isinstance(obj, str):
@@ -203,6 +217,24 @@ def _encode(obj, nl, parts, write) -> None:
     else:
         raise TypeError(
             f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _encode_dict(obj, nl, parts, write, met) -> None:
+    """Append the text of the nonempty dict `obj`, keys sorted."""
+    for key in obj:
+        if not isinstance(key, str):
+            raise TypeError(f"JSON keys must be str, not {key!r}")
+    inner = nl + "  "
+    sep = "{" + inner
+    for key in sorted(obj):
+        val = obj[key]
+        if type(val) is str:
+            parts.append(sep + _escape(key) + ": " + _escape(val))
+        else:
+            parts.append(sep + _escape(key) + ": ")
+            _encode(val, inner, parts, write, met)
+        sep = "," + inner
+    parts.append(nl + "}")
 
 
 def emit(args, payload, text) -> None:
@@ -415,6 +447,16 @@ def _run_check(arr, args, caps):
 def _run_corpus(args) -> int:
     from .corpus import enumerate_arrangements, random_rational_arrangements
 
+    for flag, value, least in (("--max-n", args.max_n, 1),
+                               ("--max-m", args.max_m, 1),
+                               ("--count", args.count, 0)):
+        if value < least:
+            raise SpecError(f"{flag} must be at least {least}, not {value}")
+    # a rational instance of dimension n <= max-n draws m from n..max-m
+    if args.rational and args.max_m < args.max_n:
+        raise SpecError(f"--max-m {args.max_m} is below --max-n "
+                        f"{args.max_n}: a rational instance of dimension n "
+                        f"has at least n forms")
     if args.rational:
         instances = random_rational_arrangements(
             args.count, args.seed, args.max_n, args.max_m

@@ -38,7 +38,9 @@ the odd ring, takes the exact rank of the images (`_rank_dimension`).
 
 The substitutions of one call group (one degree of the `hilbert` rank step,
 or one `verify_charts` call) share the forms, the dx expansions of the dz
-wedges and the products of form powers built so far.  Each substitution
+wedges, the layout of each (ring, flat) they read terms of, and the
+products of form powers built so far.  They read an element's packed
+terms and sum the numerator into one packed dict.  Each substitution
 puts its terms over its own denominator, one power per form it needs, so
 a chart generator's products hold only the forms its terms mention; the
 rank step gives every form of every image one shared power instead, so
@@ -86,7 +88,18 @@ from .relations import (
     t_ring,
     t_monomial,
 )
-from .superalg import DX, DZ, ExtElement, ext_mul, ext_mul_monomial, merge_subsets
+from .superalg import (
+    DX,
+    DZ,
+    LABEL_BITS,
+    LABEL_MASK,
+    ExtElement,
+    ext_mul,
+    ext_mul_monomial,
+    label_mask,
+    mask_label,
+    merge_subsets,
+)
 
 
 # -- reports ------------------------------------------------------------------
@@ -204,10 +217,16 @@ class _SharedSubstitution:
 
     A call group is one degree of the `hilbert` rank step or one
     `verify_charts` call.  It shares the forms as x-polynomials, the wedge
-    expansion of each exterior label, and the products of form powers built
-    so far.  The caller makes it and drops it with the call; it is not kept
-    in the instance context, where the products of a whole instance would
-    raise the peak memory.
+    expansion of each exterior label, the products of form powers built so
+    far, and the layout of each (ring, flat) it has substituted from.  The
+    caller makes it and drops it with the call; it is not kept in the
+    instance context, where the products of a whole instance would raise
+    the peak memory.
+
+    A vector of form exponents is one int laid out as a monomial of
+    `vectors`, the t-ring, whose t_k has the field of form k: a product of
+    form powers is looked up by that int, and the per-form maximum of two
+    vectors is their `mono_lcm`.
 
     `unkept` products at the head of each product's suffix chain are not
     kept (see `product`).  The rank step sets it to 2: the exponents of its
@@ -215,29 +234,68 @@ class _SharedSubstitution:
     the product of its rest each belong to that image alone.
     """
 
-    __slots__ = ("arr", "target", "forms", "x_labels", "expansions",
-                 "products", "unkept")
+    __slots__ = ("arr", "target", "vectors", "shifts", "forms", "x_labels",
+                 "labels", "layouts", "products", "unkept")
 
     def __init__(self, arr: Arrangement, unkept: int = 0):
         self.arr = arr
         self.target = x_ring(arr)
-        self.forms = z_polynomials(arr)
+        self.vectors = t_ring(arr)
+        self.shifts = [self.vectors.shift_of(f"t{k}")
+                       for k in range(1, arr.m + 1)]
+        # (exponent bits, unit, z_k) of each form's field, in index order
+        self.forms = [(MAX_EXPONENT << shift, 1 << shift, z)
+                      for shift, z in zip(self.shifts, z_polynomials(arr))]
         self.x_labels = tuple(range(1, arr.n + 1))
-        self.expansions: dict = {}
-        self.products: dict = {(0,) * arr.m: self.target.one()}
+        self.labels: dict = {}
+        self.layouts: dict = {}
+        self.products: dict = {0: self.target.one()}
         self.unkept = unkept
 
-    def expansion(self, s):
-        """dz_s expanded in the dx basis."""
-        got = self.expansions.get(s)
+    def label(self, mask: int):
+        """(the vector with 1 in the field of each index of the label, the
+        (dx label mask, coefficient) pairs of dz_label in the dx basis)."""
+        got = self.labels.get(mask)
         if got is None:
-            rows = [self.arr.form(i) for i in s]
-            got = self.expansions[s] = wedge_expand(self.arr.field, rows,
-                                                    self.x_labels)
+            s = mask_label(mask)
+            spread = sum(1 << self.shifts[i - 1] for i in s)
+            expansion = wedge_expand(self.arr.field,
+                                     [self.arr.form(i) for i in s],
+                                     self.x_labels)
+            got = self.labels[mask] = (
+                spread, [(label_mask(xs), c) for xs, c in expansion.items()])
         return got
 
-    def product(self, exps, unkept: int = 0) -> Polynomial:
-        """z_1^exps[0] * ... * z_m^exps[m-1].
+    def layout(self, ring: PolyRing, flat):
+        """(blocks, off, ones) for monomials of `ring` substituted on `flat`.
+
+        A monomial's form vector, with each off-flat t_i exponent and each
+        on-flat z_j exponent in the field of its form, is the sum of
+        `(mono & mask) << left >> right` over the blocks, one block per
+        distance a field moves.  `off` has the exponent bits of the
+        off-flat forms and `ones` a 1 in each of their fields.
+        """
+        key = (ring.variables, flat)
+        got = self.layouts.get(key)
+        if got is None:
+            moves: dict = {}
+            off = ones = 0
+            for k, vshift in enumerate(self.shifts, start=1):
+                if k in flat:
+                    shift = ring.shift_of(f"z{k}")
+                else:
+                    shift = ring.shift_of(f"t{k}")
+                    off |= MAX_EXPONENT << vshift
+                    ones |= 1 << vshift
+                d = vshift - shift
+                moves[d] = moves.get(d, 0) | (MAX_EXPONENT << shift)
+            blocks = tuple((mask, max(d, 0), max(-d, 0))
+                           for d, mask in moves.items())
+            got = self.layouts[key] = (blocks, off, ones)
+        return got
+
+    def product(self, exps: int, unkept: int = 0) -> Polynomial:
+        """z_1^e_1 * ... * z_m^e_m for the vector `exps`.
 
         The power of the first form with a nonzero exponent times the
         product of the rest, both looked up here, so every suffix of a
@@ -247,15 +305,15 @@ class _SharedSubstitution:
         """
         got = self.products.get(exps)
         if got is None:
-            k = next(i for i, e in enumerate(exps) if e)
-            rest = (0,) * (k + 1) + exps[k + 1:]
-            if any(rest):
-                head = exps[:k + 1] + (0,) * (len(exps) - k - 1)
-                got = self.product(head) * self.product(rest,
+            for bits, unit, z in self.forms:
+                if exps & bits:
+                    break
+            head = exps & bits
+            if head != exps:
+                got = self.product(head) * self.product(exps - head,
                                                         max(unkept - 1, 0))
             else:
-                lower = exps[:k] + (exps[k] - 1,) + exps[k + 1:]
-                got = self.forms[k] * self.product(lower)
+                got = z * self.product(exps - unit)
             if not unkept:
                 self.products[exps] = got
         return got
@@ -266,9 +324,10 @@ def _substitute(shared: _SharedSubstitution, flat, ring: PolyRing,
     """The one substitution core behind eval_h, eval_psi and eval_chart.
 
     Off the flat t_i -> 1/z_i(x) and u_i -> dz_i(x)/z_i(x); on it
-    z_j -> z_j(x) and dz_j -> dz_j(x).  `terms` yields the (exterior
-    index tuple, monomial, coefficient) of each term over `ring`, whose
-    variables are t_i off the flat and z_j on it.
+    z_j -> z_j(x) and dz_j -> dz_j(x).  `terms` yields the (packed term,
+    coefficient) pairs of an element over `ring`, whose variables are t_i
+    off the flat and z_j on it, and whose label masks are its exterior
+    indices (`superalg`); a polynomial's terms have the empty label.
 
     Each off-flat form z_k gets its own exponent N_k: the largest power of
     z_k any term needs (its t_k exponent, plus one for u_k), and at least
@@ -277,66 +336,68 @@ def _substitute(shared: _SharedSubstitution, flat, ring: PolyRing,
     Over one shared exponent N = max N_k the numerator would only gain the
     nonzero factor prod z_k^(N - N_k), and F[x] (x) Lambda[dx] is free
     over the domain F[x], so `is_zero` answers the same.
+
+    Each term's needs and on-flat exponents are one vector of form
+    exponents (see `_SharedSubstitution`), read off its monomial with the
+    layout of (ring, flat).  The products of its dx expansion are summed
+    unreduced into one packed dict, which the target ring canonicalises
+    once.
     """
-    m = shared.arr.m
-    off = [(i - 1, ring.shift_of(f"t{i}"))
-           for i in range(1, m + 1) if i not in flat]
-    on = [(j - 1, ring.shift_of(f"z{j}")) for j in sorted(flat)]
+    blocks, off, ones = shared.layout(ring, flat)
+    lcm = shared.vectors.mono_lcm
+    label = shared.labels.get
+    top = min_den * ones
     pieces = []
-    top = [min_den] * len(off)
-    for s, mono, c in terms:
-        need = [((mono >> sh) & MAX_EXPONENT) + (k + 1 in s)
-                for k, sh in off]
-        top = list(map(max, top, need))
-        pieces.append((s, c, need, mono))
-    out: dict = {}
-    for s, c, need, mono in pieces:
-        vec = [0] * m
-        for (k, _), e, n in zip(off, need, top):
-            vec[k] = n - e
-        for k, sh in on:
-            vec[k] = (mono >> sh) & MAX_EXPONENT
-        prod = shared.product(tuple(vec), shared.unkept)
-        for subset, coeff in shared.expansion(s).items():
-            out.setdefault(subset, []).append((c * coeff, prod))
-    numerator = {s: _combination(terms) for s, terms in out.items()}
-    den = [0] * m
-    for (k, _), n in zip(off, top):
-        den[k] = n
-    return LocalizedOmega(ExtElement(shared.target, numerator, DX), tuple(den))
-
-
-def _combination(terms) -> Polynomial:
-    """The sum of c * p over the (c, p) pairs of `terms`.
-
-    Over F_p a c may be any int of its residue class: the products are
-    summed as ints and reduced once per monomial.
-    """
-    c, p = terms[0]
-    if len(terms) == 1:
-        return p.scale(c)
+    for key, c in terms:
+        mono = key >> LABEL_BITS
+        v = 0
+        for bits, left, right in blocks:
+            v |= (mono & bits) << left >> right
+        mask = key & LABEL_MASK
+        spread, expansion = label(mask) or shared.label(mask)
+        t_part = v & off
+        need = t_part + (spread & ones)
+        top = lcm(top, need)
+        # the on-flat exponents less the needs: the vector is top + this
+        pieces.append((v - t_part - need, expansion, c))
+    products = shared.products
     acc: dict = {}
     get = acc.get
-    for c, p in terms:
-        for mono, x in p._d.items():
-            acc[mono] = get(mono, 0) + c * x
-    return p.ring.poly(acc)
+    for rel, expansion, c in pieces:
+        vec = top + rel
+        prod = products.get(vec)
+        if prod is None:
+            prod = shared.product(vec, shared.unkept)
+        items = prod._d.items()
+        for xmask, e in expansion:
+            ce = c * e
+            for xm, x in items:
+                k = (xm << LABEL_BITS) | xmask
+                acc[k] = get(k, 0) + ce * x
+    target = shared.target
+    den = tuple((top >> shift) & MAX_EXPONENT for shift in shared.shifts)
+    return LocalizedOmega(
+        ExtElement._of_packed(target, target.canonical(acc), DX), den)
 
 
-def _poly_terms(f: Polynomial):
-    """The terms of a polynomial as exterior-degree-0 substitution terms."""
-    return (((), mono, c) for mono, c in f._d.items())
+def _packed_terms(element):
+    """The (packed term, coefficient) pairs of an ExtElement or, with the
+    empty label, of a Polynomial."""
+    if isinstance(element, Polynomial):
+        return [(m << LABEL_BITS, c) for m, c in element._d.items()]
+    return element._t.items()
 
 
 def eval_h(arr: Arrangement, f: Polynomial) -> LocalizedOmega:
     """Substitute t_i -> 1/z_i and clear to the common denominator."""
-    return _substitute(_SharedSubstitution(arr), (), f.ring, _poly_terms(f))
+    return _substitute(_SharedSubstitution(arr), (), f.ring,
+                       _packed_terms(f))
 
 
 def eval_psi(arr: Arrangement, xi: ExtElement) -> LocalizedOmega:
     """Substitute t_i -> 1/z_i, u_i -> dz_i/z_i; expand dz into dx."""
     return _substitute(_SharedSubstitution(arr), (), xi.ring,
-                       xi.label_terms())
+                       _packed_terms(xi))
 
 
 def eval_chart(arr: Arrangement, flat: Flat, element,
@@ -347,10 +408,8 @@ def eval_chart(arr: Arrangement, flat: Flat, element,
     dz_j -> dz_j(x) on it.  Only the outside forms are inverted.  `shared`
     is the state of the caller's call group, made anew when not given.
     """
-    terms = (_poly_terms(element) if isinstance(element, Polynomial)
-             else element.label_terms())
     return _substitute(shared or _SharedSubstitution(arr), flat.indices,
-                       element.ring, terms)
+                       element.ring, _packed_terms(element))
 
 
 # -- kernels from first principles ---------------------------------------------
@@ -975,9 +1034,12 @@ def _rank_images(arr: Arrangement, super: bool, deg: int):
     # images share one denominator and their numerators one column space
     den = max(((deg - r) // 2 + (r > 0) for r, _ in labels), default=0)
     shared = _SharedSubstitution(arr, unkept=2)
+    one = arr.field.one
     for r, B in labels:
+        mask = label_mask(B)
         for m in _t_monomials_of_degree(ring, (deg - r) // 2):
-            yield _substitute(shared, (), ring, ((B, m, arr.field.one),), den)
+            yield _substitute(shared, (), ring,
+                              (((m << LABEL_BITS) | mask, one),), den)
 
 
 def _rank_dimension(arr: Arrangement, super: bool, deg: int) -> int:

@@ -30,7 +30,7 @@ leading coefficient of what it has reduced so far.
 The layout stays in this module.  Elsewhere a monomial is read with
 `mono_pairs`, or, in hot loops, as `(m >> ring.shift_of(name)) &
 MAX_EXPONENT`.  Printing (`format_terms`) walks the ring's display order,
-built on the first print.
+built on the first print, once per monomial of the caller's `texts`.
 """
 
 from __future__ import annotations
@@ -377,39 +377,58 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring.variables, self.terms))
 
+    def text(self, texts: dict | None = None) -> str:
+        """The display text; `texts` as for `format_terms`."""
+        return format_terms(
+            self.ring, (("", sorted(self._d.items(), reverse=True)),),
+            0, texts)
+
     def __str__(self):
-        return format_terms(self.ring, ((self, ""),))
+        return self.text()
 
     def __repr__(self):
         return f"<{self}>"
 
 
-def format_terms(ring: PolyRing, pieces) -> str:
+def format_terms(ring: PolyRing, groups, shift: int = 0,
+                 texts: dict | None = None) -> str:
     """The display text of a sum of terms, "0" when there are none.
 
-    `pieces` yields `(poly, tail)` pairs: a polynomial of `ring`, whose
-    terms are written greatest first, and the text of the factor written
-    after each of its terms ("" for none; an exterior monomial for
-    `ExtElement`).  A unit coefficient is written only for a bare
-    constant, and a negative rational coefficient as a minus sign; F_p
-    scalars are never negative.
+    `groups` yields `(tail, terms)` pairs: the text of the factor written
+    after each term of the group ("" for none; an exterior monomial for
+    `ExtElement`), and the group's (key, coefficient) pairs, greatest
+    first, each key a packed term whose monomial of `ring` is
+    `key >> shift` (a polynomial's monomials, with shift 0).  A unit
+    coefficient is written only for a bare constant, and a negative
+    rational coefficient as a minus sign; F_p scalars are never negative.
+
+    Each monomial's text is built once per `texts`, a {monomial: text}
+    dict that a caller printing many elements of `ring` may pass to them
+    all (`relations` keeps one per presentation or chart); without one, it
+    is built once per call.
     """
     fmt = ring.field.fmt
+    if texts is None:
+        texts = {}
     chunks = []
-    for poly, tail in pieces:
-        for m, c in sorted(poly._d.items(), reverse=True):
+    for tail, terms in groups:
+        for k, c in terms:
+            m = k >> shift
+            body = texts.get(m)
+            if body is None:
+                body = texts[m] = "*".join([
+                    name if e == 1 else f"{name}^{e}"
+                    for name, e in ring.mono_items(m)])
+            if tail:
+                body = f"{body}*{tail}" if body else tail
             neg = isinstance(c, Fraction) and c < 0
             mag = fmt(-c if neg else c)
-            factors = [mag] if mag != "1" or not (m or tail) else []
-            for name, e in ring.mono_items(m):
-                factors.append(name if e == 1 else f"{name}^{e}")
-            if tail:
-                factors.append(tail)
-            text = "*".join(factors)
+            if mag != "1" or not body:
+                body = f"{mag}*{body}" if body else mag
             if chunks:
-                chunks.append(("- " if neg else "+ ") + text)
+                chunks.append(("- " if neg else "+ ") + body)
             else:
-                chunks.append("-" + text if neg else text)
+                chunks.append("-" + body if neg else body)
     return " ".join(chunks) or "0"
 
 

@@ -26,7 +26,16 @@ from .caps import Caps
 from .context import instance_context
 from .fields import field_to_json
 from .polynomials import MAX_EXPONENT, Polynomial, PolyRing, RingError, mono_pairs
-from .superalg import DZ, U, ExtElement, ext_mul, xi_from_tdz
+from .superalg import (
+    DZ,
+    LABEL_BITS,
+    LABEL_MASK,
+    U,
+    ExtElement,
+    ext_mul,
+    label_mask,
+    xi_from_tdz,
+)
 
 
 @lru_cache(maxsize=None)
@@ -122,24 +131,39 @@ class GeneratorRecord:
     relation: Relation
     subset: tuple | None  # None in the commutative case
 
-    def to_json(self, field) -> dict:
-        data = {
-            "element": str(self.element),
-            "relation": self.relation.to_json(field),
-        }
-        if self.subset is not None:
-            data["subset"] = list(self.subset)
-        return data
+
+def _generator_json(generators, field) -> list:
+    """The JSON of each generator record: its element's text, its
+    relation's support and coefficients, and its subset if it has one.
+
+    Records of one relation share one relation dict, built once here, and
+    each monomial's text is built once (`format_terms`); neither outlives
+    the call.
+    """
+    texts: dict = {}
+    relations: dict = {}
+    out = []
+    for g in generators:
+        rel = relations.get(g.relation)
+        if rel is None:
+            rel = relations[g.relation] = g.relation.to_json(field)
+        data = {"element": g.element.text(texts), "relation": rel}
+        if g.subset is not None:
+            data["subset"] = list(g.subset)
+        out.append(data)
+    return out
 
 
 def _generator_text(lines: list, generators) -> str:
     """The header `lines`, then one line per generator: its relation's
-    support, its subset if it has one, and the element."""
+    support, its subset if it has one, and the element.  Each monomial's
+    text is built once per call (`format_terms`)."""
+    texts: dict = {}
     for g in generators:
         tag = f"L={list(g.relation.support)}"
         if g.subset is not None:
             tag += f" S={list(g.subset)}"
-        lines.append(f"  [{tag}] {g.element}")
+        lines.append(f"  [{tag}] {g.element.text(texts)}")
     return "\n".join(lines)
 
 
@@ -175,7 +199,7 @@ class Presentation:
             "mode": self.mode,
             "variables": {"t": [f"t{i}" for i in range(1, m + 1)]},
             "grading": {"t": 2},
-            "generators": [g.to_json(arr.field) for g in self.generators],
+            "generators": _generator_json(self.generators, arr.field),
         }
         if self.super:
             data["variables"]["u"] = [f"u{i}" for i in range(1, m + 1)]
@@ -288,7 +312,7 @@ class ChartRing:
                 "t": [f"t{i}" for i in range(1, arr.m + 1) if i not in s_v],
                 "z": [f"z{j}" for j in self.flat.indices],
             },
-            "generators": [g.to_json(arr.field) for g in self.generators],
+            "generators": _generator_json(self.generators, arr.field),
         }
         if self.super:
             data["variables"]["u"] = [
@@ -311,14 +335,18 @@ class _ChartDivision:
     A present t_j factor is consumed; an absent one contributes the inverse
     coordinate z_j; a u_j factor turns into dz_j (index slot unchanged, so no
     sign).  The result must live in the chart variables.  The exponent
-    fields of both rings are looked up once per chart.
+    fields of both rings are looked up once per chart, and `done` keeps
+    each divided term for the chart's lifetime: {(label shift, divisors):
+    {term: divided term}}, the shift 0 for polynomials.
     """
 
-    __slots__ = ("ring", "s_v", "t_shift", "z_shift", "kept", "on_flat")
+    __slots__ = ("ring", "s_v", "flat_bits", "t_shift", "z_shift", "kept",
+                 "on_flat", "done")
 
     def __init__(self, t_ring, chart_ring, s_v):
         self.ring = chart_ring
         self.s_v = s_v
+        self.flat_bits = label_mask(sorted(s_v))
         self.t_shift = {}
         self.z_shift = {j: chart_ring.shift_of(f"z{j}") for j in s_v}
         self.kept = []  # (t-ring shift, chart shift) of each t_i off the flat
@@ -330,17 +358,21 @@ class _ChartDivision:
                 self.on_flat |= MAX_EXPONENT << shift
             else:
                 self.kept.append((shift, chart_ring.shift_of(name)))
+        self.done: dict = {}
 
-    def monomial(self, mono, divisors, subset):
+    def monomial(self, mono, divisors, mask):
+        """The chart monomial of t^mono * u_label / t_divisors, for the
+        label with mask `mask`."""
         out = 0
         for j in divisors:
             shift = self.t_shift[j]
             have = (mono >> shift) & MAX_EXPONENT
-            if have and j not in subset:
+            has_u = mask >> (j - 1) & 1  # the label holds u_j
+            if have and not has_u:
                 if have > 1:
                     raise RingError(f"t{j}^{have} cannot be divided onto the chart")
                 mono -= 1 << shift
-            elif not have and j in subset:
+            elif not have and has_u:
                 pass  # u_j / t_j = dz_j; membership in the flat renders it as dz
             elif not have:
                 out += 1 << self.z_shift[j]
@@ -351,25 +383,41 @@ class _ChartDivision:
             raise RingError(f"t{i} survives division on the chart")
         for shift, chart_shift in self.kept:
             out += ((mono >> shift) & MAX_EXPONENT) << chart_shift
-        for j in subset:
-            if j in self.s_v and j not in divisors:
-                raise RingError(f"u{j} has no chart expression")
+        stray = mask & self.flat_bits & ~label_mask(divisors)
+        if stray:
+            j = (stray & -stray).bit_length()  # the least such index
+            raise RingError(f"u{j} has no chart expression")
         return out
 
 
 def chart_divide(division: _ChartDivision, rel: Relation, element):
-    """Divide a generator by t_{S_V intersect support} on the chart."""
-    divisors = sorted(division.s_v & set(rel.support))
+    """Divide a generator by t_{S_V intersect support} on the chart.
+
+    Works on packed terms (a polynomial's monomials have the empty label):
+    each term is divided once per chart and divisor set, through the
+    division's `done` table, and the sum is canonicalised once.  A term that
+    does not divide onto the chart raises a RingError.
+    """
+    divisors = tuple(sorted(division.s_v & set(rel.support)))
+    poly = isinstance(element, Polynomial)
+    shift, labels = (0, 0) if poly else (LABEL_BITS, LABEL_MASK)
+    done = division.done.get((shift, divisors))
+    if done is None:
+        done = division.done[shift, divisors] = {}
+    acc: dict = {}
+    get = acc.get
+    for k, c in (element._d if poly else element._t).items():
+        key = done.get(k)
+        if key is None:
+            mask = k & labels
+            key = done[k] = (division.monomial(k >> shift, divisors, mask)
+                             << shift) | mask
+        acc[key] = get(key, 0) + c
     ring = division.ring
-    if isinstance(element, Polynomial):
-        d: dict = {}
-        for m, c in element._d.items():
-            key = division.monomial(m, divisors, ())
-            d[key] = d.get(key, 0) + c
-        return ring.poly(d)
-    return element.map_monomials(
-        lambda m, subset: division.monomial(m, divisors, subset),
-        ring, frozenset(division.s_v))
+    if poly:
+        return ring.poly(acc)
+    return ExtElement._of_packed(ring, ring.canonical(acc),
+                                 frozenset(division.s_v))
 
 
 def chart_ring(

@@ -20,22 +20,21 @@ position) lex order of the free module, and the greatest key is the
 leading term.  Multiplying by x^b adds `b << LABEL_BITS` to every key, and
 the product of two terms with disjoint labels is the sum of their keys.
 An index outside 1..LABEL_BITS has no bit and is refused (a RingError), so
-no label reaches into the monomial bits.  This module alone turns labels
-into masks and back: `entries` builds a label -> Polynomial view on
-demand, for printing; `label_terms` yields (label, monomial, coefficient)
-triples for the substitution core, and `map_monomials` rewrites the
-monomials of every term, for the chart division.
+no label reaches into the monomial bits.  `label_mask` and `mask_label`
+turn labels into masks and back, and `entries` builds a label ->
+Polynomial view on demand.  The layers that work term by term read the
+packed dict itself: the substitution core and `hilbert`'s rank step in
+`oracle`, and the chart division in `relations`; `text` prints it
+without building any Polynomial.
 
 Kind takes part in equality and in every operation on two elements.  Signs
 are normalized into the coefficients at construction, so equality is
 structural.  Exterior squares vanish in every characteristic, including 2.
 
 Coefficients follow the rule of `polynomials`: sums, negation, scaling,
-products, `map_monomials` and `parse_ext` add into one packed dict
-unreduced, a sign as a plain minus, and canonicalise it once with
-`PolyRing.canonical`, over F_2 as over every other field.
-`modules` divides with per-term field calls instead, since each of its
-steps reads a canonical leading coefficient.
+products and `parse_ext` add into one packed dict unreduced, a sign as a
+plain minus, and canonicalise it once with `PolyRing.canonical`, over F_2
+as over every other field; so do the substitution and the chart division.
 """
 
 from __future__ import annotations
@@ -211,22 +210,6 @@ class ExtElement:
             for mask in sorted(by_mask)
         }
 
-    def label_terms(self):
-        """(label, monomial, coefficient) of every term."""
-        for k, c in self._t.items():
-            yield mask_label(k & LABEL_MASK), k >> LABEL_BITS, c
-
-    def map_monomials(self, fn, ring: PolyRing, kind):
-        """The element of `ring` and `kind` with each term c * x^m * e_S
-        made c * x^fn(m, S) * e_S; terms that meet are added."""
-        t: dict = {}
-        get = t.get
-        for k, c in self._t.items():
-            mask = k & LABEL_MASK
-            key = (fn(k >> LABEL_BITS, mask_label(mask)) << LABEL_BITS) | mask
-            t[key] = get(key, 0) + c
-        return ExtElement._of_packed(ring, ring.canonical(t), kind)
-
     def entry(self, label) -> Polynomial:
         mask = label_mask(tuple(label))
         return Polynomial(self.ring, {
@@ -353,12 +336,29 @@ class ExtElement:
     def __hash__(self):
         return hash((self.kind, self.ring.variables, self.sort_key()))
 
-    def __str__(self):
+    def text(self, texts: dict | None = None) -> str:
+        """The display text: labels ascending, each with its terms
+        greatest first.
+
+        `texts` is as for `polynomials.format_terms`, for elements of one
+        ring and kind: it also keeps the text of each label, under the
+        key ~mask, below every monomial.
+        """
+        if texts is None:
+            texts = {}
         kind = self.kind
-        return format_terms(self.ring, (
-            (p, "*".join([ext_name(kind, i) for i in s]))
-            for s, p in self.entries.items()
-        ))
+        by_mask = _terms_by_mask(self)
+        groups = []
+        for mask in sorted(by_mask):
+            tail = texts.get(~mask)
+            if tail is None:
+                tail = texts[~mask] = "*".join(
+                    [ext_name(kind, i) for i in mask_label(mask)])
+            groups.append((tail, sorted(by_mask[mask], reverse=True)))
+        return format_terms(self.ring, groups, LABEL_BITS, texts)
+
+    def __str__(self):
+        return self.text()
 
     def __repr__(self):
         return f"<ExtElement {self}>"

@@ -260,6 +260,39 @@ def test_malformed_input_exit_code(tmp_path, capsys, changes, argv, message):
     assert err.startswith("input error:") and message in err
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["--cap-points", "-1", "points", "E3"], {}, "--cap-points"),
+    (["--cap-flats", "-1", "flats", "E3"], {}, "--cap-flats"),
+    (["--cap-relations", "-2", "presentation", "--mode", "all", "E3"], {},
+     "--cap-relations"),
+    (["--cap-family", "-1", "verify", "--check", "groebner-lemma", "E3"], {},
+     "--cap-family"),
+    (["points", "E3"], {"RECPLANE_CAP_POINTS": "-1"}, "RECPLANE_CAP_POINTS"),
+    (["flats", "E3"], {"RECPLANE_CAP_FLATS": "many"}, "RECPLANE_CAP_FLATS"),
+    (["corpus", "--p", "2", "--max-n", "0"], {}, "--max-n"),
+    (["corpus", "--p", "2", "--max-m", "0"], {}, "--max-m"),
+    (["corpus", "--rational", "--count", "-3"], {}, "--count"),
+    (["corpus", "--rational", "--max-n", "3", "--max-m", "1"], {},
+     "--max-m 1 is below --max-n 3"),
+], ids=["cap-points-flag", "cap-flats-flag", "cap-relations-flag",
+        "cap-family-flag", "cap-points-env", "cap-flats-env-not-int",
+        "corpus-max-n-0", "corpus-max-m-0", "corpus-count-negative",
+        "rational-max-m-below-max-n"])
+def test_malformed_size_exit_code(specs, capsys, monkeypatch, argv, env,
+                                  message):
+    """A size that is negative, zero where at least one is needed, or not an
+    integer exits 2 with a message naming its flag or variable; none of
+    these is read as a cap that everything exceeds (exit 3) or as an empty
+    corpus (exit 0)."""
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    argv = [specs.get(a, a) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and message in err
+
+
 def test_presentation_and_theorem2_share_the_circuit_presentation(
         specs, capsys, monkeypatch):
     """Circuits mode reads no caps, so `presentation --super` and theorem2
@@ -421,6 +454,43 @@ def test_write_json_streams_a_generator(items):
     assert "".join(writes) == json.dumps({"items": items, "z": 0}, indent=2,
                                          sort_keys=True) + "\n"
     assert made == list(range(len(items)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(max_size=3), JSON_TREES, min_size=1,
+                       max_size=3), st.integers(1, 4))
+def test_write_json_encodes_a_shared_dict_once(shared, copies):
+    """One dict object met several times, at one depth and at others, in a
+    payload and in each item of a stream: the bytes are those of
+    json.dumps, and its text is built once per item, or per payload."""
+    import recplane.cli as cli
+
+    encoded = []
+    encode_dict = cli._encode_dict
+
+    def counted(obj, *args):
+        encoded.append(id(obj))
+        return encode_dict(obj, *args)
+
+    def payloads():
+        row = {"a": shared, "b": [shared] * copies}
+        nested = [row, {"deeper": [shared, shared]}]
+        yield nested, nested, 2
+        yield ({"items": (dict(row) for _ in range(copies)), "z": shared},
+               {"items": [dict(row) for _ in range(copies)], "z": shared},
+               2 * copies + 1)
+
+    for payload, plain, encodes in payloads():
+        want = json.dumps(plain, indent=2, sort_keys=True) + "\n"
+        cli._encode_dict = counted
+        try:
+            del encoded[:]
+            got = written(payload)
+        finally:
+            cli._encode_dict = encode_dict
+        assert got == want
+        # once per depth it is met at, anew in each stream item
+        assert encoded.count(id(shared)) == encodes
 
 
 @pytest.mark.parametrize("obj", [

@@ -187,42 +187,65 @@ def _four_cycle_f2():
                                [1, 0, 0, 1]])
 
 
+def _reversed_ring(element):
+    """`element` over the ring of the same variables in reverse order."""
+    ring = element.ring
+    rev = PolyRing(ring.field, ring.variables[::-1])
+
+    def move(p):
+        return rev.poly({rev.mono(dict(ring.mono_items(m))): c
+                         for m, c in p.terms})
+
+    if isinstance(element, ExtElement):
+        return ExtElement(rev, {s: move(p) for s, p in element.entries.items()},
+                          element.kind)
+    return move(element)
+
+
 @st.composite
 def substitution_cases(draw):
-    """(arrangement, map, flat, element, min_den): a random element of 1-3
-    labels for eval_h, eval_psi or eval_chart on a random flat."""
+    """(arrangement, cases): on one arrangement, 1-3 cases (map, flat,
+    element, min_den), each a random element of 1-3 labels for eval_h,
+    eval_psi or eval_chart on a random flat, over the map's ring or over
+    its variables in reverse order."""
     from recplane.relations import _chart_poly_ring
 
     arr = draw(st.sampled_from((
         _four_cycle_f2(), Arrangement(Q, 2, [[1, 0], [0, 1], [-1, -1]]),
         _braid_a3(F2), _braid_a3(F5), _braid_a3(Q))))
     field = arr.field
-    kind = draw(st.sampled_from(("h", "psi", "chart")))
-    flat = (draw(st.sampled_from(flats(arr))).indices if kind == "chart"
-            else ())
-    if kind == "chart":
-        ring = _chart_poly_ring(field, tuple(i for i in range(1, arr.m + 1)
-                                             if i not in flat), flat)
-    else:
-        ring = t_ring(arr)
     coeff = st.integers(-3, 3).map(field.from_int).filter(
         lambda c: c != field.zero)
-    mono = st.dictionaries(st.sampled_from(ring.variables), st.integers(0, 2),
-                           max_size=2).map(ring.mono)
+    cases = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("h", "psi", "chart")))
+        flat = (draw(st.sampled_from(flats(arr))).indices if kind == "chart"
+                else ())
+        if kind == "chart":
+            ring = _chart_poly_ring(field, tuple(
+                i for i in range(1, arr.m + 1) if i not in flat), flat)
+        else:
+            ring = t_ring(arr)
+        mono = st.dictionaries(st.sampled_from(ring.variables),
+                               st.integers(0, 2), max_size=2).map(ring.mono)
 
-    def polynomial():
-        return ring.poly(draw(st.dictionaries(mono, coeff, min_size=1,
-                                              max_size=3)))
+        def polynomial():
+            return ring.poly(draw(st.dictionaries(mono, coeff, min_size=1,
+                                                  max_size=3)))
 
-    if kind == "h":
-        element = polynomial()
-    else:
-        label = st.lists(st.integers(1, arr.m), max_size=3, unique=True).map(
-            lambda xs: tuple(sorted(xs)))
-        labels = draw(st.lists(label, min_size=1, max_size=3, unique=True))
-        element = ExtElement(ring, {lab: polynomial() for lab in labels},
-                             frozenset(flat) if kind == "chart" else "u")
-    return arr, kind, flat, element, draw(st.integers(0, 2))
+        if kind == "h":
+            element = polynomial()
+        else:
+            label = st.lists(st.integers(1, arr.m), max_size=3,
+                             unique=True).map(lambda xs: tuple(sorted(xs)))
+            labels = draw(st.lists(label, min_size=1, max_size=3,
+                                   unique=True))
+            element = ExtElement(ring, {lab: polynomial() for lab in labels},
+                                 frozenset(flat) if kind == "chart" else "u")
+        if draw(st.booleans()):
+            element = _reversed_ring(element)
+        cases.append((kind, flat, element, draw(st.integers(0, 2))))
+    return arr, cases
 
 
 @settings(max_examples=100, deadline=None)
@@ -230,42 +253,58 @@ def substitution_cases(draw):
 def test_per_form_denominators_match_the_uniform_reference(case):
     """Each off-flat form's exponent N_k is the most any term needs of it,
     and at least min_den; times prod z_k^(N - N_k), N = max N_k, the
-    numerator is the one over the uniform denominator z^N."""
-    from recplane.oracle import _SharedSubstitution, _poly_terms, _substitute
-    from recplane.polynomials import MAX_EXPONENT
+    numerator is the one over the uniform denominator z^N.
 
-    arr, kind, flat, element, min_den = case
-    if kind == "h":
-        public = eval_h(arr, element)
-        terms = list(_poly_terms(element))
-    else:
-        public = (eval_psi(arr, element) if kind == "psi"
-                  else eval_chart(arr, closure(arr, flat), element))
-        terms = list(element.label_terms())
-    direct = _substitute(_SharedSubstitution(arr), flat, element.ring, terms,
-                         min_den)
-    for got, floor in ((public, 0), (direct, min_den)):
-        ref, n_ref = _reference_substitute(arr, flat, element.ring, terms,
-                                           floor)
-        off = [k for k in range(1, arr.m + 1) if k not in flat]
-        assert len(got.den) == arr.m
-        assert all(got.den[j - 1] == 0 for j in flat)
-        for k in off:
-            shift = element.ring.shift_of(f"t{k}")
-            needs = [((mono >> shift) & MAX_EXPONENT) + (k in s)
-                     for s, mono, _ in terms]
-            assert got.den[k - 1] == max([floor] + needs)
-        if off:
-            assert max(got.den) == n_ref
-        missing = _reference_power_product(
-            arr, [n_ref - got.den[k - 1] if k in off else 0
-                  for k in range(1, arr.m + 1)])
-        lifted = {s: _reference_mul(arr.field, poly._d, missing)
-                  for s, poly in got.numerator.entries.items()}
-        assert lifted == ref
-        # every coefficient is reduced: from_int leaves a residue unchanged
-        assert all(arr.field.from_int(c) == c
-                   for c in got.numerator._t.values())
+    One call group serves every case, each followed by the same element
+    over its variables in reverse order, so the group alternates between
+    flats and between rings on one flat: every result equals the one of a
+    fresh group, whose layout of (ring, flat) is its own."""
+    from recplane.oracle import _SharedSubstitution, _packed_terms, _substitute
+    from recplane.polynomials import MAX_EXPONENT
+    from recplane.superalg import LABEL_BITS, LABEL_MASK, mask_label
+
+    arr, cases = case
+    group = _SharedSubstitution(arr)
+    for kind, flat, element, min_den in [
+            (kind, flat, e, min_den) for kind, flat, element, min_den in cases
+            for e in (element, _reversed_ring(element))]:
+        if kind == "h":
+            public = eval_h(arr, element)
+        elif kind == "psi":
+            public = eval_psi(arr, element)
+        else:
+            public = eval_chart(arr, closure(arr, flat), element)
+            assert eval_chart(arr, closure(arr, flat), element, group) == public
+        packed = list(_packed_terms(element))
+        terms = [(mask_label(k & LABEL_MASK), k >> LABEL_BITS, c)
+                 for k, c in packed]
+        direct = _substitute(_SharedSubstitution(arr), flat, element.ring,
+                             packed, min_den)
+        assert _substitute(group, flat, element.ring, packed,
+                           min_den) == direct
+        assert _substitute(group, flat, element.ring, packed) == public
+        for got, floor in ((public, 0), (direct, min_den)):
+            ref, n_ref = _reference_substitute(arr, flat, element.ring, terms,
+                                               floor)
+            off = [k for k in range(1, arr.m + 1) if k not in flat]
+            assert len(got.den) == arr.m
+            assert all(got.den[j - 1] == 0 for j in flat)
+            for k in off:
+                shift = element.ring.shift_of(f"t{k}")
+                needs = [((mono >> shift) & MAX_EXPONENT) + (k in s)
+                         for s, mono, _ in terms]
+                assert got.den[k - 1] == max([floor] + needs)
+            if off:
+                assert max(got.den) == n_ref
+            missing = _reference_power_product(
+                arr, [n_ref - got.den[k - 1] if k in off else 0
+                      for k in range(1, arr.m + 1)])
+            lifted = {s: _reference_mul(arr.field, poly._d, missing)
+                      for s, poly in got.numerator.entries.items()}
+            assert lifted == ref
+            # every coefficient is reduced: from_int leaves a residue as is
+            assert all(arr.field.from_int(c) == c
+                       for c in got.numerator._t.values())
 
 
 # -- kernels -------------------------------------------------------------------
@@ -1085,7 +1124,9 @@ def test_shared_product_equals_the_plain_product(case):
         for z, k in zip(zs, exps):
             want = want * z.pow(k)
         for shared in groups:
-            assert shared.product(exps, shared.unkept) == want
+            vector = shared.vectors.mono({f"t{k}": e
+                                          for k, e in enumerate(exps, 1)})
+            assert shared.product(vector, shared.unkept) == want
 
 
 def test_call_groups_leave_no_state_in_the_instance_context(four_cycle):

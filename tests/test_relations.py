@@ -296,4 +296,136 @@ def test_chart_rejects_escaping_monomials(triangle_f2):
     ring = _chart_poly_ring(F2, (2, 3), (1,))
     mono = t_ring(triangle_f2).mono({"t1": 2})
     with pytest.raises(RingError):
-        _ChartDivision(t_ring(triangle_f2), ring, {1}).monomial(mono, [1], ())
+        _ChartDivision(t_ring(triangle_f2), ring, {1}).monomial(mono, [1], 0)
+
+
+def _braid_a3_f5():
+    forms = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            row = [0] * 4
+            row[i], row[j] = 1, -1
+            forms.append(row)
+    return Arrangement(PrimeField(5), 4, forms)
+
+
+def _divided_per_term(arr, flat, rel, element):
+    """`element` divided onto the chart of `flat` one term at a time, each
+    by `_ChartDivision.monomial` of a division of its own, the terms summed
+    with field calls: the reference for the memoised `chart_divide`."""
+    from recplane.relations import _ChartDivision, _chart_poly_ring
+    from recplane.superalg import label_mask
+
+    field = arr.field
+    s_v = set(flat.indices)
+    ring = _chart_poly_ring(field, tuple(i for i in range(1, arr.m + 1)
+                                         if i not in s_v), flat.indices)
+    divisors = sorted(s_v & set(rel.support))
+    if isinstance(element, ExtElement):
+        terms = [(s, m, c) for s, p in element.entries.items()
+                 for m, c in p.terms]
+    else:
+        terms = [((), m, c) for m, c in element.terms]
+    out: dict = {}
+    for s, m, c in terms:
+        key = _ChartDivision(t_ring(arr), ring, s_v).monomial(
+            m, divisors, label_mask(s))
+        acc = out.setdefault(s, {})
+        acc[key] = field.add(acc.get(key, field.zero), c)
+    polys = {s: ring.poly({k: c for k, c in acc.items() if c != field.zero})
+             for s, acc in out.items()}
+    if isinstance(element, ExtElement):
+        return ExtElement(ring, polys, frozenset(s_v))
+    return polys.get((), ring.zero())
+
+
+def test_memoised_chart_division_matches_the_per_term_reference(
+        four_cycle, monkeypatch):
+    """Every chart generator of braid A3 over F_5 and of the four-cycle over
+    F_2, commutative and super, equals its per-term division; and each
+    chart divides each (divisors, term) once, however many generators
+    share it."""
+    from recplane import relations
+    from recplane.arrangement import flats
+
+    calls = []
+    monomial = relations._ChartDivision.monomial
+
+    def counted(self, mono, divisors, mask):
+        calls.append((id(self), tuple(divisors), mono, mask))
+        return monomial(self, mono, divisors, mask)
+
+    monkeypatch.setattr(relations._ChartDivision, "monomial", counted)
+    for arr in (_braid_a3_f5(), four_cycle):
+        for flat in flats(arr):
+            for sup in (False, True):
+                pres = (super_generators(arr) if sup
+                        else commutative_generators(arr))
+                del calls[:]
+                chart = chart_ring(arr, flat, super=sup)
+                assert len(calls) == len(set(calls))
+                wanted = set()
+                for g, c in zip(pres.generators, chart.generators,
+                                strict=True):
+                    monkeypatch.setattr(relations._ChartDivision, "monomial",
+                                        monomial)
+                    assert c.element == _divided_per_term(
+                        arr, flat, g.relation, g.element)
+                    monkeypatch.setattr(relations._ChartDivision, "monomial",
+                                        counted)
+                    divisors = tuple(sorted(set(flat.indices)
+                                            & set(g.relation.support)))
+                    terms = (g.element._t if sup else g.element._d)
+                    wanted.update((divisors, k) for k in terms)
+                assert len(calls) == len(wanted)
+    # one division serves relations with other divisors: the same terms
+    # divide differently under each
+    from recplane.arrangement import Relation
+    from recplane.relations import _ChartDivision, _chart_poly_ring, chart_divide
+
+    monkeypatch.setattr(relations._ChartDivision, "monomial", monomial)
+    ring = t_ring(four_cycle)
+    flat = closure(four_cycle, (1, 2))
+    chart = _chart_poly_ring(F2, (3, 4), (1, 2))
+    division = _ChartDivision(ring, chart, {1, 2})
+    for element in (ring.parse("t3*t4 + t2*t3"),
+                    ExtElement(ring, {(3,): ring.parse("t4 + t2*t4")})):
+        for rel in (Relation((1, 2, 3, 4), (1, 1, 1, 1)),
+                    Relation((2, 3, 4), (1, 1, 1)),
+                    Relation((1, 2, 3, 4), (1, 1, 1, 1))):
+            assert chart_divide(division, rel, element) == _divided_per_term(
+                four_cycle, flat, rel, element)
+
+
+def test_chart_division_refuses_terms_off_the_chart(four_cycle):
+    """Each way a term can fail to divide onto a chart raises its RingError,
+    also when the same term is divided a second time."""
+    from recplane.arrangement import Relation
+    from recplane.relations import _ChartDivision, _chart_poly_ring, chart_divide
+    from recplane.superalg import U
+
+    ring = t_ring(four_cycle)
+    circuit = Relation((1, 2, 3, 4), (1, 1, 1, 1))
+    other = Relation((2, 3, 4), (1, 1, 1))
+
+    def division(flat):
+        chart = _chart_poly_ring(F2, tuple(i for i in range(1, 5)
+                                           if i not in flat), flat)
+        return _ChartDivision(ring, chart, set(flat))
+
+    cases = [
+        ((1,), circuit, ring.parse("t1^2*t2"),
+         "t1^2 cannot be divided onto the chart"),
+        ((1,), circuit, ExtElement(ring, {(1,): ring.parse("t1*t2")}, U),
+         "monomial mixes t1 and u1 on the chart"),
+        ((1, 2), other, ring.parse("t1*t3"), "t1 survives division on the "
+                                             "chart"),
+        ((1, 2), other, ExtElement(ring, {(1,): ring.parse("t3")}, U),
+         "u1 has no chart expression"),
+    ]
+    for flat, rel, element, message in cases:
+        d = division(flat)
+        for _ in range(2):
+            with pytest.raises(RingError) as info:
+                chart_divide(d, rel, element)
+            assert str(info.value) == message

@@ -144,6 +144,57 @@ def test_ext_element_text_matches_the_reference(data):
     assert str(e) == ref_ext(e)
 
 
+@st.composite
+def shared_text_cases(draw):
+    """(ring, kind, polynomials, elements): a ring over F_2, F_5 or Q, an
+    exterior kind, and 1-4 polynomials and elements of that ring and kind.
+    Bare constants, unit and minus-unit coefficients, negative fractions
+    and zero are each drawn often."""
+    ring = draw(rings())
+    kind = draw(st.sampled_from(KINDS))
+    field = ring.field
+    if field.char == 0:
+        units = st.sampled_from((1, -1, Fraction(-1, 2), Fraction(-7, 3)))
+        coeff = st.one_of(units, coefficients(field)).map(Fraction)
+    else:
+        coeff = st.one_of(st.sampled_from((1, field.char - 1)),
+                          st.integers(1, field.char - 1))
+    mono = st.one_of(
+        st.just({}),
+        st.dictionaries(st.sampled_from(ring.variables), st.integers(0, 3),
+                        max_size=3)).map(ring.mono)
+
+    def poly():
+        return ring.poly(draw(st.dictionaries(mono, coeff, max_size=4)))
+
+    polys = [poly() for _ in range(draw(st.integers(1, 4)))]
+    elements = [
+        ExtElement(ring, {s: poly() for s in draw(
+            st.lists(LABELS, max_size=4, unique=True))}, kind)
+        for _ in range(draw(st.integers(1, 4)))]
+    return ring, kind, polys, elements
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_text_cases())
+def test_shared_monomial_texts_match_the_per_term_reference(case):
+    """One `texts` dict, shared as a chart or a presentation shares it by
+    the polynomials and exterior elements of one ring and kind, leaves
+    every text equal to the per-term reference, as does `str()`."""
+    ring, kind, polys, elements = case
+    texts: dict = {}
+    for p in polys:
+        assert str(p) == ref_poly(p)
+        assert p.text(texts) == ref_poly(p)
+    for e in elements:
+        assert str(e) == ref_ext(e)
+        assert e.text(texts) == ref_ext(e)
+    # a second pass reads every monomial and label from the dict
+    for x, ref in [(p, ref_poly(p)) for p in polys] + [
+            (e, ref_ext(e)) for e in elements]:
+        assert x.text(texts) == ref
+
+
 def test_render_examples():
     """Units, constants and signs, in a ring whose order is not the
     display order."""

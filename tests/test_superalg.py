@@ -368,7 +368,7 @@ def coefficient_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(coefficient_cases())
 def test_ext_arithmetic_matches_field_call_reference(case):
-    """Sums, negation, scaling, products, monomial maps and wedge expansion
+    """Sums, negation, scaling, products and wedge expansion
     agree with per-term field calls over F_2, F_5 and Q, and store only
     canonical coefficients."""
     from recplane.oracle import wedge_expand
@@ -383,7 +383,7 @@ def test_ext_arithmetic_matches_field_call_reference(case):
             acc[key] = op(acc.get(key, field.zero), x)
         return _ref_clean(field, acc)
 
-    prod, poly_prod, dropped = {}, {}, {}
+    prod, poly_prod = {}, {}
     for (sa, ma), ca in a.items():
         for (sb, mb), cb in b.items():
             sign = _ref_sign(sa, sb)
@@ -395,8 +395,6 @@ def test_ext_arithmetic_matches_field_call_reference(case):
         for mp, cp in poly.items():
             _ref_add(field, poly_prod, (sa, tuple(map(sum, zip(ma, mp)))),
                      field.mul(ca, cp))
-        _ref_add(field, dropped, (sa, ma[:-1] + (0,)), ca)
-    t1 = MAX_EXPONENT << r.shift_of("t1")
     poly_elem = r.poly({r.mono(dict(zip(REF_VARS, e))): x
                         for e, x in poly.items()})
     for got, ref in (
@@ -406,9 +404,7 @@ def test_ext_arithmetic_matches_field_call_reference(case):
             (ea.scale(c), _ref_clean(field, {k: field.mul(c, x)
                                              for k, x in a.items()})),
             (ea.poly_mul(poly_elem), _ref_clean(field, poly_prod)),
-            (ext_mul(ea, eb), _ref_clean(field, prod)),
-            (ea.map_monomials(lambda m, s: m & ~t1, r, U),
-             _ref_clean(field, dropped))):
+            (ext_mul(ea, eb), _ref_clean(field, prod))):
         assert got == _ref_element(r, ref)
         assert_canonical(field, got._t.values())
     labels = (1, 2, 3, 4)
