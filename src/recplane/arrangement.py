@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .caps import Caps
@@ -51,9 +52,7 @@ class Arrangement:
         self.n = int(n)
         normalized = []
         for i, vec in enumerate(forms, start=1):
-            row = tuple(
-                field.from_int(x) if isinstance(x, int) else x for x in vec
-            )
+            row = tuple(_entry(field, x) for x in vec)
             if len(row) != self.n:
                 raise SpecError(f"form {i} has length {len(row)}, expected {self.n}")
             if all(x == field.zero for x in row):
@@ -152,12 +151,16 @@ class Arrangement:
         return f"Arrangement({self.field!r}, n={self.n}, m={self.m})"
 
 
-def _scalar_to_json(x):
-    from fractions import Fraction
+def _entry(field, x):
+    """A form entry as a scalar of `field`: an int, or an integral
+    Fraction, is read by `from_int`, so over Q it is an int."""
+    if isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1):
+        return field.from_int(x.numerator)
+    return x
 
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else int(x)
-    return int(x)
+
+def _scalar_to_json(x):
+    return str(x) if isinstance(x, Fraction) else int(x)
 
 
 def _scalar_from_json(field, x):

@@ -95,9 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rational", action="store_true")
     p.add_argument("--max-n", type=int, default=3)
     p.add_argument("--max-m", type=int, default=5)
-    p.add_argument("--count", type=int, default=20,
-                   help="number of rational instances")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--count", type=int, default=None,
+                   help="number of rational instances (default 20)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the rational instances (default 7)")
     p.add_argument("--out", default=None, help="directory for spec files")
     return parser
 
@@ -447,10 +448,16 @@ def _run_check(arr, args, caps):
 def _run_corpus(args) -> int:
     from .corpus import enumerate_arrangements, random_rational_arrangements
 
+    if args.p is not None:
+        if args.rational:
+            raise SpecError("corpus takes --p or --rational, not both")
+        for flag, value in (("--count", args.count), ("--seed", args.seed)):
+            if value is not None:
+                raise SpecError(f"{flag} applies only to --rational")
     for flag, value, least in (("--max-n", args.max_n, 1),
                                ("--max-m", args.max_m, 1),
                                ("--count", args.count, 0)):
-        if value < least:
+        if value is not None and value < least:
             raise SpecError(f"{flag} must be at least {least}, not {value}")
     # a rational instance of dimension n <= max-n draws m from n..max-m
     if args.rational and args.max_m < args.max_n:
@@ -459,7 +466,8 @@ def _run_corpus(args) -> int:
                         f"has at least n forms")
     if args.rational:
         instances = random_rational_arrangements(
-            args.count, args.seed, args.max_n, args.max_m
+            20 if args.count is None else args.count,
+            7 if args.seed is None else args.seed, args.max_n, args.max_m
         )
     elif args.p is not None:
         instances = enumerate_arrangements(args.p, args.max_n, args.max_m)

@@ -1,8 +1,10 @@
 """Exact coefficient fields: prime fields F_p and the rationals.
 
-Scalars are plain Python values (``int`` for F_p, ``Fraction`` for Q); the
-field object carries the context and all arithmetic.  F_p values are kept as
-canonical representatives in [0, p); Fractions normalize themselves.
+Scalars are plain Python values: ints over F_p; over Q an int when
+integral, else a ``Fraction``.  The field object carries the context and
+all arithmetic.  F_p values are kept as canonical representatives in
+[0, p).  Over Q the constants and every method that returns a scalar keep
+the rule, and `PolyRing.canonical` keeps it for every summed coefficient.
 `PrimeField(p)` tests p by trial division and Miller-Rabin on the 13
 primes up to 41, which is exact for p < 3,317,044,064,679,887,385,961,981
 (Sorenson and Webster 2015), and refuses a larger p.
@@ -115,47 +117,57 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
+def _demote(q):
+    """An integral Fraction as its int; any other scalar as it is."""
+    return q.numerator if q.__class__ is Fraction and q.denominator == 1 else q
+
+
 class RationalField:
-    """The rationals with arbitrary-precision Fraction scalars."""
+    """The rationals.  A scalar is an int when it is integral, else a
+    `Fraction`; both are exact.  Every scalar this class returns keeps
+    that rule.  An integral Fraction that arises inside a division loop
+    equals its int and hashes like it."""
 
     __slots__ = ()
 
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, k: int):
-        return Fraction(k)
+        return int(k)
 
     def add(self, a, b):
-        return a + b
+        return _demote(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _demote(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _demote(a * b)
 
     def neg(self, a):
-        return -a
+        return _demote(-a)
 
-    # a scalar may be a plain int (`PolyRing.canonical` keeps ints), and an
-    # int over an int is a float: only a Fraction operand keeps `/` exact
+    # an int over an int is a float: only a Fraction operand keeps `/`
+    # exact, and an integral quotient of two ints is their `//`
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if isinstance(a, Fraction) else Fraction(1, a)
+        if isinstance(a, Fraction):
+            return _demote(1 / a)
+        return a if a == 1 or a == -1 else Fraction(1, a)
 
     def div(self, a, b):
         if not b:
             raise ZeroDivisionError("division by zero")
         if isinstance(a, Fraction) or isinstance(b, Fraction):
-            return a / b
-        return Fraction(a, b)
+            return _demote(a / b)
+        return a // b if a % b == 0 else Fraction(a, b)
 
     def parse(self, text: str):
         try:
-            return Fraction(text)
+            return _demote(Fraction(text))
         except ZeroDivisionError as exc:
             raise FieldError(f"{text!r} divides by zero") from exc
 

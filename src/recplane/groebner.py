@@ -18,15 +18,17 @@ Work saved on the way to that basis, none of which changes it:
 basis is unique, so equal bases are equal ideals and different bases are
 different ideals.
 
-Coefficients are plain scalars: ints in 1..p-1 over F_p, ints or Fractions
-over Q.  A division step takes its factor from one `field.div` of the
-leading coefficient, and an S-polynomial its two scalings from one
-`field.inv` each; every other operation is plain arithmetic, one loop for
-both fields.  A term updated in `normal_form` is reduced `% p` at once, as
-the next step reads a canonical leading coefficient, and dropped when it is
-zero; `s_polynomial` sums unreduced and canonicalises once
-(`PolyRing.poly`).  Over Q no coefficient is divided with `/`: an int over
-an int would be a float.
+Coefficients are plain scalars: ints in 1..p-1 over F_p; over Q an int
+when integral, else a Fraction.  A division step takes its factor from one
+`field.div` of the leading coefficient, and an S-polynomial its two
+scalings from one `field.inv` each; every other operation is plain
+arithmetic, one loop for both fields.  A term updated in `normal_form` is
+reduced `% p` at once, as the next step reads a canonical leading
+coefficient, and dropped when it is zero; over Q the remainder is
+canonicalised once at the end, as a term may be an integral Fraction.
+`s_polynomial` sums unreduced and canonicalises once (`PolyRing.poly`).
+Over Q no coefficient is divided with `/`: an int over an int would be a
+float.
 
 `is_groebner` applies no pair criterion, so it stays an independent check
 of the completion.  Nothing here comes from `modules`: the two engines are
@@ -100,7 +102,8 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
                 work[key] = s
             else:
                 work.pop(key, None)
-    return Polynomial(f.ring, rem)
+    # over Q a remainder term may be an integral Fraction
+    return Polynomial(f.ring, rem if p else f.ring.canonical(rem))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -7,7 +7,8 @@ its column and 0 at every earlier pivot's column and left of its own, and
 cut after its last nonzero entry; pivots are kept in the order their rows
 came.  Over F_p (p = `field.char`) the updates are int arithmetic on the
 representatives, with `% p` inline once per remainder; over Q they are plain
-Fraction arithmetic.
+int and Fraction arithmetic, so an entry may be an integral Fraction, which
+equals its int.
 
 `extend_echelon` appends the remainder of one vector as a pivot, `echelon`
 folds it over the rows and `rank` counts the pivots; `in_row_space` asks

@@ -15,7 +15,8 @@ masks; here a mask is read as `key & LABEL_MASK` and a monomial as
 Coefficients follow the rule of `groebner`: a division step takes one
 `field.div` and an S-pair one `field.inv` per element, everything else is
 plain arithmetic in one loop for both fields.  `module_normal_form`
-reduces each updated term `% p` at once and drops it when zero; each
+reduces each updated term `% p` at once and drops it when zero, and over Q
+canonicalises its remainder once at the end; each
 quotient coefficient is a step's factor as it is, because the leading key
 falls at every step, so no reducer meets the same shift twice.  `_spair`
 sums unreduced and calls `PolyRing.canonical` once.
@@ -116,7 +117,9 @@ def module_normal_form(v: ExtElement, basis, track=False):
                 work[key] = val
             else:
                 work.pop(key, None)
-    remainder = ExtElement._of_packed(ring, rem, v.kind)
+    # over Q a remainder term may be an integral Fraction
+    remainder = ExtElement._of_packed(
+        ring, rem if p else ring.canonical(rem), v.kind)
     if track:
         return remainder, {i: Polynomial(ring, d) for i, d in quots.items()}
     return remainder

@@ -20,12 +20,15 @@ MAX_EXPONENT.
 One coefficient rule holds wherever a new element is summed: polynomials
 here and exterior elements in `superalg`.  The constructor sums its
 coefficients unreduced, as plain ints of any residue class over F_p and as
-Fractions over Q, and hands the dict once to `PolyRing.canonical`, which
-reduces each sum `% p` and drops the zeros.  No such constructor calls the
-field per term, and F_2 takes the same path as every other prime.  The
-division loops of `groebner` and `modules` use plain scalars as well, but
-reduce each updated term `% p` at once, since every step reads a canonical
-leading coefficient of what it has reduced so far.
+ints or Fractions over Q, and hands the dict once to `PolyRing.canonical`,
+which reduces each sum `% p` over F_p, turns an integral Fraction into its
+int over Q, and drops the zeros.  So a stored coefficient is an int in
+1..p-1 over F_p, and over Q an int when integral, else a Fraction.  No
+such constructor calls the field per term, and F_2 takes the same path as
+every other prime.  The division loops of `groebner` and `modules` use
+plain scalars as well, but reduce each updated term `% p` at once, since
+every step reads a canonical leading coefficient of what it has reduced so
+far; over Q their remainder passes through `canonical` once on the way out.
 
 The layout stays in this module.  Elsewhere a monomial is read with
 `mono_pairs`, or, in hot loops, as `(m >> ring.shift_of(name)) &
@@ -36,7 +39,6 @@ built on the first print, once per monomial of the caller's `texts`.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Iterable
 
 _W = 16  # bits per variable, guard bit included
@@ -130,11 +132,13 @@ class PolyRing:
         A key is a monomial or a packed module term; it is kept as it is.
         Over F_p a coeff may be any int of its residue class, such as a sum
         of products left unreduced: it is reduced `% p` here, once per key.
-        The dict is not kept."""
+        Over Q a coeff may be an int or a Fraction, and an integral
+        Fraction(n, 1) becomes the int n here.  The dict is not kept."""
         p = self.field.char
         if p:
             return {k: r for k, c in d.items() if (r := c % p)}
-        return {k: c for k, c in d.items() if c}
+        return {k: c if c.__class__ is int or c.denominator != 1
+                else c.numerator for k, c in d.items() if c}
 
     def poly(self, d: dict) -> "Polynomial":
         """The polynomial of {mono: coeff}, canonicalised (`canonical`)."""
@@ -400,7 +404,8 @@ def format_terms(ring: PolyRing, groups, shift: int = 0,
     first, each key a packed term whose monomial of `ring` is
     `key >> shift` (a polynomial's monomials, with shift 0).  A unit
     coefficient is written only for a bare constant, and a negative
-    rational coefficient as a minus sign; F_p scalars are never negative.
+    coefficient as a minus sign; F_p scalars are never negative, so only a
+    rational one is.
 
     Each monomial's text is built once per `texts`, a {monomial: text}
     dict that a caller printing many elements of `ring` may pass to them
@@ -421,7 +426,7 @@ def format_terms(ring: PolyRing, groups, shift: int = 0,
                     for name, e in ring.mono_items(m)])
             if tail:
                 body = f"{body}*{tail}" if body else tail
-            neg = isinstance(c, Fraction) and c < 0
+            neg = c < 0
             mag = fmt(-c if neg else c)
             if mag != "1" or not body:
                 body = f"{mag}*{body}" if body else mag

@@ -274,10 +274,17 @@ def test_malformed_input_exit_code(tmp_path, capsys, changes, argv, message):
     (["corpus", "--rational", "--count", "-3"], {}, "--count"),
     (["corpus", "--rational", "--max-n", "3", "--max-m", "1"], {},
      "--max-m 1 is below --max-n 3"),
+    (["corpus", "--p", "3", "--rational", "--count", "2"], {},
+     "--p or --rational, not both"),
+    (["corpus", "--p", "2", "--max-n", "1", "--max-m", "2", "--count", "5"],
+     {}, "--count applies only to --rational"),
+    (["corpus", "--p", "2", "--max-n", "1", "--max-m", "2", "--seed", "9"],
+     {}, "--seed applies only to --rational"),
 ], ids=["cap-points-flag", "cap-flats-flag", "cap-relations-flag",
         "cap-family-flag", "cap-points-env", "cap-flats-env-not-int",
         "corpus-max-n-0", "corpus-max-m-0", "corpus-count-negative",
-        "rational-max-m-below-max-n"])
+        "rational-max-m-below-max-n", "corpus-p-and-rational",
+        "corpus-count-with-p", "corpus-seed-with-p"])
 def test_malformed_size_exit_code(specs, capsys, monkeypatch, argv, env,
                                   message):
     """A size that is negative, zero where at least one is needed, or not an

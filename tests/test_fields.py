@@ -73,17 +73,30 @@ def test_rational_field_reduced_fractions():
 
 
 def test_rational_division_of_plain_ints_is_exact():
-    """`PolyRing.canonical` keeps int coefficients over Q; dividing them
-    gives a Fraction, never the float of `int / int`."""
+    """An integral rational is an int: dividing gives an int when the
+    quotient is integral and a Fraction with denominator > 1 otherwise,
+    never the float of `int / int`."""
     q = RationalField()
     for got, want in ((q.div(11, 3), Fraction(11, 3)),
                       (q.inv(3), Fraction(1, 3)),
-                      (q.inv(-1), Fraction(-1)),
-                      (q.div(4, 2), Fraction(2)),
+                      (q.inv(-1), -1),
+                      (q.inv(1), 1),
+                      (q.div(4, 2), 2),
+                      (q.div(-6, 3), -2),
                       (q.div(Fraction(1, 2), 3), Fraction(1, 6)),
-                      (q.div(3, Fraction(3, 2)), Fraction(2)),
+                      (q.div(3, Fraction(3, 2)), 2),
+                      (q.div(Fraction(3, 2), Fraction(3, 4)), 2),
+                      (q.inv(Fraction(1, 3)), 3),
                       (q.inv(Fraction(-2, 5)), Fraction(-5, 2))):
-        assert type(got) is Fraction and got == want
+        assert got == want and got != 0
+        assert type(got) is type(want), (got, want)
+        assert type(got) is int or got.denominator != 1
+    for c in (q.zero, q.one, q.from_int(-7), q.parse("6/3"), q.parse("-4"),
+              q.add(Fraction(1, 2), Fraction(1, 2)),
+              q.sub(Fraction(5, 2), Fraction(1, 2)),
+              q.mul(Fraction(2, 3), 3), q.neg(Fraction(4, 2))):
+        assert type(c) is int, c
+    assert type(q.parse("2/3")) is Fraction
     for zero in (0, Fraction(0)):
         with pytest.raises(ZeroDivisionError):
             q.inv(zero)

@@ -201,8 +201,9 @@ def assert_canonical(field, coeffs):
             assert type(c) in (int, Fraction) and c != 0, c
 
 
-# Over Q a coefficient is a plain int or a Fraction, as `PolyRing.canonical`
-# keeps either; over F_p a drawn a/b is read as a / b.
+# Over Q a drawn coefficient is a plain int or a Fraction, and
+# `PolyRing.canonical` stores an integral one as an int; over F_p a drawn
+# a/b is read as a / b.
 mixed_coeff = st.one_of(
     st.integers(-3, 3),
     st.builds(Fraction, st.integers(-3, 3), st.sampled_from((3, 7))),

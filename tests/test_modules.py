@@ -560,8 +560,8 @@ MIXED_LABELS = tuple(
 term_lists = st.lists(
     st.tuples(
         st.integers(0, len(MIXED_LABELS) - 1),  # label slot
-        # coefficient: over Q a plain int or a Fraction, as
-        # `PolyRing.canonical` keeps either; over F_p a/b reads as a / b
+        # coefficient: over Q a plain int or a Fraction, an integral one
+        # stored as an int; over F_p a/b reads as a / b
         st.one_of(st.integers(1, 4),
                   st.builds(Fraction, st.integers(-4, 4).filter(bool),
                             st.sampled_from((3, 7)))),

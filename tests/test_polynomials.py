@@ -188,13 +188,25 @@ def _ref_scale(field, c, a, mono=()):
 
 
 def assert_canonical(field, coeffs):
-    """Every stored coefficient is canonical: in 1..p-1 over F_p, a nonzero
-    Fraction over Q."""
+    """Every stored coefficient is canonical: in 1..p-1 over F_p; over Q a
+    nonzero int, or a Fraction whose denominator is not 1."""
     for c in coeffs:
         if field.char:
             assert type(c) is int and 0 < c < field.char
         else:
-            assert type(c) is Fraction and c != 0
+            assert type(c) is int or (type(c) is Fraction
+                                      and c.denominator != 1), c
+            assert c != 0
+
+
+def scalars(field):
+    """Small scalars of `field`; over Q ints, Fractions, and integral
+    Fractions such as Fraction(4, 2), which the ring stores as ints."""
+    if field.char:
+        return st.integers(-4, 4).map(field.from_int)
+    return st.one_of(st.integers(-4, 4),
+                     st.builds(Fraction, st.integers(-4, 4),
+                               st.sampled_from((1, 2, 3))))
 
 
 exponent = st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT))
@@ -247,13 +259,13 @@ def polynomial_products(draw):
 
     def poly():
         terms = draw(st.lists(st.tuples(ref_monomials(n, exps),
-                                        st.integers(-4, 4)), max_size=5))
+                                        scalars(field)), max_size=5))
         d = {}
         for m, c in terms:
-            d[m] = field.add(d.get(m, field.zero), field.from_int(c))
+            d[m] = field.add(d.get(m, field.zero), c)
         return {m: c for m, c in d.items() if c != field.zero}
 
-    c = field.from_int(draw(st.integers(-4, 4)))
+    c = draw(scalars(field))
     return ring, poly(), poly(), c, draw(ref_monomials(n, exps))
 
 
@@ -324,3 +336,20 @@ def test_products_past_the_largest_exponent_raise():
             normal_form(f, [g])
         with pytest.raises(RingError):
             module_normal_form(ExtElement.from_poly(f), [ExtElement.from_poly(g)])
+
+
+def test_division_remainders_keep_the_scalar_rule():
+    """Over Q a division step's factor may be a Fraction whose products
+    with the reducer are integral: the remainder stores them as ints."""
+    ring = PolyRing(Q, ("x", "y"))
+    f, g = ring.parse("x + y"), ring.parse("2*x + 4*y")
+    for rem in (normal_form(f, [g]),
+                module_normal_form(ExtElement.from_poly(f),
+                                   [ExtElement.from_poly(g)])):
+        coeffs = list((rem._t if isinstance(rem, ExtElement) else rem._d)
+                      .values())
+        assert coeffs == [-1] and type(coeffs[0]) is int
+    h = ring.parse("3*x + 2*y")  # factor 1/3: the remainder is 1/3*y
+    rem = normal_form(f, [h])
+    assert list(rem._d.values()) == [Fraction(1, 3)]
+    assert_canonical(Q, rem._d.values())

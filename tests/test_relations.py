@@ -1,9 +1,19 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recplane.arrangement import Arrangement, circuits, closure, relations_for
+from recplane.arrangement import (
+    Arrangement,
+    circuits,
+    closure,
+    flats,
+    relations_for,
+)
 from recplane.fields import PrimeField, RationalField
-from recplane.polynomials import RingError, mono_pairs
+from recplane.modules import module_groebner
+from recplane.polynomials import Polynomial, RingError, mono_pairs
 from recplane.relations import (
     chart_ring,
     commutative_generators,
@@ -429,3 +439,48 @@ def test_chart_division_refuses_terms_off_the_chart(four_cycle):
             with pytest.raises(RingError) as info:
                 chart_divide(d, rel, element)
             assert str(info.value) == message
+
+
+def _assert_scalar_rule(coeffs):
+    """Over Q a stored coefficient is a nonzero int, or a Fraction whose
+    denominator is not 1: never a float, a zero or an integral Fraction."""
+    n = 0
+    for c in coeffs:
+        assert type(c) is int or (type(c) is Fraction
+                                  and c.denominator != 1), c
+        assert c != 0
+        n += 1
+    return n
+
+
+def test_integral_rationals_are_ints_end_to_end():
+    """A seeded rational arrangement whose forms mix integral and
+    non-integral entries: every coefficient of its commutative and super
+    presentations, its chart relations and a module Groebner basis keeps
+    the scalar rule, as do the forms and relation coefficients."""
+    rng = random.Random(3)
+    forms = [[Fraction(1, 2), -3, 0], [2, Fraction(-5, 3), 7],
+             [Fraction(4, 2), 0, Fraction(9, 3)]]
+    while len(forms) < 5:
+        row = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+               for _ in range(3)]
+        if any(row):
+            forms.append(row)
+    arr = Arrangement(Q, 3, forms)
+    assert _assert_scalar_rule(x for row in arr.forms for x in row if x)
+    assert arr.forms[2] == (2, 0, 3)
+    rels = circuits(arr)
+    assert _assert_scalar_rule(c for rel in rels for c in rel.coeffs)
+    elements = [g.element for pres in (commutative_generators(arr),
+                                       super_generators(arr))
+                for g in pres.generators]
+    elements += [g.element for flat in flats(arr) for super_ in (False, True)
+                 for g in chart_ring(arr, flat, super=super_).generators]
+    basis = module_groebner([g.element
+                             for g in super_generators(arr).generators])
+    assert basis
+    assert sum(_assert_scalar_rule(
+        e._d.values() if isinstance(e, Polynomial) else e._t.values())
+        for e in elements + basis)
+    # the non-integral coefficients do occur, as Fractions
+    assert any(type(c) is Fraction for rel in rels for c in rel.coeffs)

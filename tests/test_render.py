@@ -37,7 +37,8 @@ def _ref_mono_items(ring, mono):
 
 
 def _ref_scalar(field, c):
-    if isinstance(c, Fraction) and c < 0:
+    # F_p representatives are never negative, so only a rational is
+    if c < 0:
         return True, field.fmt(-c)
     return False, field.fmt(c)
 
@@ -107,11 +108,13 @@ def rings(draw):
 
 
 def coefficients(field):
+    """Over Q plain ints and Fractions, integral ones among them, which the
+    ring stores as ints."""
     if field.char == 0:
         return st.one_of(
             st.sampled_from((1, -1, 2, -3)),
             st.fractions(min_value=-5, max_value=5, max_denominator=7),
-        ).map(Fraction)
+        )
     return st.integers(0, field.char - 1)
 
 
@@ -154,8 +157,9 @@ def shared_text_cases(draw):
     kind = draw(st.sampled_from(KINDS))
     field = ring.field
     if field.char == 0:
-        units = st.sampled_from((1, -1, Fraction(-1, 2), Fraction(-7, 3)))
-        coeff = st.one_of(units, coefficients(field)).map(Fraction)
+        units = st.sampled_from((1, -1, Fraction(-1), Fraction(-1, 2),
+                                 Fraction(-7, 3)))
+        coeff = st.one_of(units, coefficients(field))
     else:
         coeff = st.one_of(st.sampled_from((1, field.char - 1)),
                           st.integers(1, field.char - 1))
@@ -205,6 +209,13 @@ def test_render_examples():
     e = ExtElement(ring, {(): ring.parse("-1"), (1, 3): ring.parse("t2 - 1")},
                    frozenset({3}))
     assert str(e) == "-1 + t2*u1*dz3 - u1*dz3"
+    # int coefficients over Q, as every integral rational is stored
+    xy = PolyRing(q, ("x", "y"))
+    x, y = xy.mono({"x": 1}), xy.mono({"y": 1})
+    assert str(xy.poly({x: 2, y: -3})) == "2*x - 3*y"
+    assert str(xy.poly({x: -1, 0: -1})) == "-x - 1"
+    assert str(xy.poly({x: Fraction(-4, 2), y: Fraction(1, 2)})) == (
+        "-2*x + 1/2*y")
     f5 = PolyRing(PrimeField(5), ("t2", "t1"))
     assert str(f5.parse("-t1 + 1")) == "4*t1 + 1"
     assert str(ExtElement.zero(f5)) == "0" and str(f5.zero()) == "0"

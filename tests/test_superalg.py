@@ -305,11 +305,25 @@ def _ref_clean(field, acc):
 
 
 def assert_canonical(field, coeffs):
+    """In 1..p-1 over F_p; over Q a nonzero int, or a Fraction whose
+    denominator is not 1."""
     for c in coeffs:
         if field.char:
             assert type(c) is int and 0 < c < field.char
         else:
-            assert type(c) is Fraction and c != 0
+            assert type(c) is int or (type(c) is Fraction
+                                      and c.denominator != 1), c
+            assert c != 0
+
+
+def scalars(field, bound):
+    """Scalars of `field` up to `bound`; over Q ints, Fractions, and
+    integral Fractions such as Fraction(4, 2), which are stored as ints."""
+    if field.char:
+        return st.integers(-bound, bound).map(field.from_int)
+    return st.one_of(st.integers(-bound, bound),
+                     st.builds(Fraction, st.integers(-bound, bound),
+                               st.sampled_from((1, 2, 3))))
 
 
 def _ref_element(r, ref):
@@ -349,19 +363,18 @@ def coefficient_cases(draw):
     def element():
         acc = {}
         for label, e, c in draw(st.lists(st.tuples(
-                st.sampled_from(labels), exps, st.integers(-3, 3)),
+                st.sampled_from(labels), exps, scalars(field, 3)),
                 max_size=5)):
-            _ref_add(field, acc, (label, e), field.from_int(c))
+            _ref_add(field, acc, (label, e), c)
         return _ref_clean(field, acc)
 
     poly = {}
-    for e, c in draw(st.lists(st.tuples(exps, st.integers(-3, 3)),
+    for e, c in draw(st.lists(st.tuples(exps, scalars(field, 3)),
                               max_size=3)):
-        _ref_add(field, poly, e, field.from_int(c))
-    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=4,
+        _ref_add(field, poly, e, c)
+    rows = draw(st.lists(st.lists(scalars(field, 2), min_size=4,
                                   max_size=4), min_size=1, max_size=3))
-    rows = [[field.from_int(x) for x in row] for row in rows]
-    c = field.from_int(draw(st.integers(-3, 3)))
+    c = draw(scalars(field, 3))
     return field, element(), element(), _ref_clean(field, poly), rows, c
 
 
